@@ -15,7 +15,6 @@ from repro.features.ringbuffer import NodeRingBuffer
 from repro.features.rolling import (
     ROLLING_LAGS,
     EntropySlabCache,
-    RollingCrossings,
     RollingNodeEngine,
     RollingPlan,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "NodeRingBuffer",
     "ROLLING_LAGS",
     "EntropySlabCache",
-    "RollingCrossings",
     "RollingNodeEngine",
     "RollingPlan",
     "RobustScaler",

@@ -17,8 +17,8 @@ matching ``(capacity,)`` timestamp vector, written with wraparound:
   a per-chunk concatenation.
 
 Rows are addressed by a monotonically increasing *global sample index*
-(``start_index`` .. ``end_index``): the rolling extrema deques and the
-entropy slab cache key their state on global indices, which survive both
+(``start_index`` .. ``end_index``): the entropy slab cache keys its
+recycled distance tensors on global indices, which survive both
 wraparound and growth.
 """
 

@@ -10,29 +10,31 @@ and O(1) per evaluation instead of O(window):
 * **moments** — mean/std/variance/skew/kurtosis plus the plain power sums
   (sum, energy, RMS) via central-moment accumulators merged with Chan's
   parallel formulas on admit and *inverse*-merged on evict;
-* **extrema** — min/max/range/absolute-max via monotonic index deques
-  (admission is chunk-vectorised: the only candidates a chunk contributes
-  are its strict suffix extrema);
+* **extrema** — min/max/range/absolute-max are read at evaluation with one
+  vectorised reduction over the window view; min and max do not depend on
+  sample order, so no sliding state is kept for them;
 * **diffs** — first-difference statistics via rolling |Δ| and Δ² sums plus
   O(1) endpoint identities (``mean_change``, the telescoped central
   second derivative);
 * **autocorrelation** — shifted lag-product sums ``Σ (x_i-K)(x_{i+lag}-K)``
   with O(lag) boundary corrections at evaluation (K is re-anchored to the
   window mean at refresh so the expansion never cancels catastrophically);
-* **threshold crossings** — :class:`RollingCrossings`, a level-crossing /
-  count-above kernel for fixed alert levels (the default calculator set's
-  *mean-relative* crossing counts cannot roll exactly, because the
-  reference level moves with every window — they fall back);
 * **entropy (amortized)** — the approximate/sample-entropy family recycles
   its pairwise Chebyshev distance-tensor slabs across overlapping windows
   (:class:`EntropySlabCache`): the kept region is a diagonal-shifted
   submatrix copy and only border strips are recomputed.  Distances are
   exact max/abs values, so the recycled profile is bit-identical.
 
+The accumulators and reductions cover only the metric columns that carry
+rolling cells in the node's :class:`RollingPlan`: every admitted or
+evicted block is gathered down to those columns first, so a metric the
+fitted selection reads only through the batch kernels (or not at all)
+costs nothing per chunk.
+
 Floating drift from repeated admit/evict is bounded by a periodic exact
-refresh of every accumulator from the ring view (``refresh_every``
-evaluations); between refreshes the accumulated error stays orders of
-magnitude under the 1e-9 parity contract.
+refresh of every accumulator from the ring view (every
+:data:`REFRESH_EVERY` evaluations); between refreshes the accumulated
+error stays orders of magnitude under the 1e-9 parity contract.
 
 NaN semantics mirror the batch path *exactly*: accumulators are
 NaN-masked (a NaN sample can never poison a sum forever), and any metric
@@ -53,7 +55,6 @@ from repro.features.context import EntropyProfile, MetricBlockContext
 
 __all__ = [
     "ROLLING_LAGS",
-    "RollingCrossings",
     "RollingNodeEngine",
     "RollingPlan",
     "EntropySlabCache",
@@ -65,9 +66,9 @@ ROLLING_LAGS = (1, 2, 3, 5, 10)
 
 _LAG_BY_NAME = {f"autocorrelation_lag{lag}": lag for lag in ROLLING_LAGS}
 
-#: Default accumulator re-anchoring cadence (evaluations between exact
-#: refreshes from the ring view).
-DEFAULT_REFRESH_EVERY = 32
+#: Accumulator re-anchoring cadence (evaluations between exact refreshes
+#: from the ring view).
+REFRESH_EVERY = 32
 
 
 # -- accumulators --------------------------------------------------------------
@@ -194,62 +195,6 @@ class _Diffs:
         self.sum_abs, self.sum_sq = self._contrib(window_vals)
 
 
-class _Extrema:
-    """Monotonic min/max deques per metric, admitted chunk-at-a-time.
-
-    A chunk's only surviving max-deque candidates are its strict suffix
-    maxima (an element followed by anything >= itself can never become the
-    window max) — computed vectorised, then spliced per metric.  Entries
-    carry global sample indices so front eviction is an index compare.
-    """
-
-    __slots__ = ("maxq", "minq")
-
-    def __init__(self, n_metrics: int):
-        from collections import deque
-
-        self.maxq = [deque() for _ in range(n_metrics)]
-        self.minq = [deque() for _ in range(n_metrics)]
-
-    def admit(self, vals: np.ndarray, base: int) -> None:
-        c = vals.shape[0]
-        with np.errstate(invalid="ignore"):
-            suf_max = np.fmax.accumulate(vals[::-1], axis=0)[::-1]
-            suf_min = np.fmin.accumulate(vals[::-1], axis=0)[::-1]
-        fin_last = np.isfinite(vals[-1])
-        for m, (mq, nq) in enumerate(zip(self.maxq, self.minq)):
-            v = vals[:, m]
-            cand = list(np.flatnonzero(v[:-1] > suf_max[1:, m])) if c > 1 else []
-            if fin_last[m]:
-                cand.append(c - 1)
-            if cand:
-                top = suf_max[0, m]
-                while mq and mq[-1][1] <= top:
-                    mq.pop()
-                mq.extend((base + i, v[i]) for i in cand)
-            cand = list(np.flatnonzero(v[:-1] < suf_min[1:, m])) if c > 1 else []
-            if fin_last[m]:
-                cand.append(c - 1)
-            if cand:
-                bot = suf_min[0, m]
-                while nq and nq[-1][1] >= bot:
-                    nq.pop()
-                nq.extend((base + i, v[i]) for i in cand)
-
-    def evict(self, start: int) -> None:
-        for mq, nq in zip(self.maxq, self.minq):
-            while mq and mq[0][0] < start:
-                mq.popleft()
-            while nq and nq[0][0] < start:
-                nq.popleft()
-
-    def maxima(self) -> np.ndarray:
-        return np.array([q[0][1] if q else np.nan for q in self.maxq])
-
-    def minima(self) -> np.ndarray:
-        return np.array([q[0][1] if q else np.nan for q in self.minq])
-
-
 class _Autocorr:
     """Shifted lag-product sums ``S[lag] = Σ (x_i - K)(x_{i+lag} - K)``.
 
@@ -259,13 +204,11 @@ class _Autocorr:
     contribute exactly zero, symmetrically on admit and evict.
     """
 
-    __slots__ = ("lags", "max_lag", "k", "s", "_anchored")
+    __slots__ = ("k", "s", "_anchored")
 
-    def __init__(self, n_metrics: int, lags: tuple[int, ...] = ROLLING_LAGS):
-        self.lags = tuple(lags)
-        self.max_lag = max(self.lags) if self.lags else 0
+    def __init__(self, n_metrics: int):
         self.k = np.zeros(n_metrics)
-        self.s = {lag: np.zeros(n_metrics) for lag in self.lags}
+        self.s = {lag: np.zeros(n_metrics) for lag in ROLLING_LAGS}
         self._anchored = False
 
     def _pairsum(self, seq: np.ndarray, lag: int, lo: int, hi: int) -> np.ndarray:
@@ -286,13 +229,13 @@ class _Autocorr:
             self._anchored = True
         p = tail.shape[0]
         seq = np.concatenate((tail, vals), axis=0)
-        for lag in self.lags:
+        for lag in ROLLING_LAGS:
             self.s[lag] += self._pairsum(seq, lag, p, seq.shape[0])
 
     def evict(self, vals: np.ndarray, head: np.ndarray) -> None:
         e = vals.shape[0]
         seq = np.concatenate((vals, head), axis=0)
-        for lag in self.lags:
+        for lag in ROLLING_LAGS:
             # Pairs whose LEFT endpoint ages out: right endpoints in
             # [lag, e + lag), clipped to what exists.
             self.s[lag] -= self._pairsum(seq, lag, lag, min(e + lag, seq.shape[0]))
@@ -300,48 +243,8 @@ class _Autocorr:
     def refresh(self, window_vals: np.ndarray, mean: np.ndarray) -> None:
         self.k = np.array(mean, dtype=np.float64)
         self._anchored = True
-        for lag in self.lags:
+        for lag in ROLLING_LAGS:
             self.s[lag] = self._pairsum(window_vals, lag, lag, window_vals.shape[0])
-
-
-class RollingCrossings:
-    """O(1) level-crossing / count-above kernel for a fixed threshold.
-
-    The default calculator set's crossing counts are *mean-relative* — the
-    reference level moves with every window, which no sliding accumulator
-    can track exactly — so those calculators fall back to the batch
-    kernels.  Fixed operational alert levels (quota lines, saturation
-    thresholds) *do* roll: this kernel maintains, per metric, the number
-    of samples strictly above ``level`` and the number of sign changes of
-    ``x - level`` between consecutive in-window samples.
-    """
-
-    __slots__ = ("level", "above", "crossings")
-
-    def __init__(self, n_metrics: int, level: float | np.ndarray):
-        self.level = np.broadcast_to(
-            np.asarray(level, dtype=np.float64), (n_metrics,)
-        ).copy()
-        self.above = np.zeros(n_metrics)
-        self.crossings = np.zeros(n_metrics)
-
-    def _pair_crossings(self, seq: np.ndarray):
-        if seq.shape[0] < 2:
-            return np.zeros(seq.shape[1])
-        gt = seq > self.level
-        fin = np.isfinite(seq)
-        ok = fin[:-1] & fin[1:]
-        return (ok & (gt[:-1] != gt[1:])).sum(axis=0).astype(np.float64)
-
-    def admit(self, vals: np.ndarray, prev_row: np.ndarray) -> None:
-        fin = np.isfinite(vals)
-        self.above += (fin & (vals > self.level)).sum(axis=0)
-        self.crossings += self._pair_crossings(np.concatenate((prev_row, vals), axis=0))
-
-    def evict(self, vals: np.ndarray, next_row: np.ndarray) -> None:
-        fin = np.isfinite(vals)
-        self.above -= (fin & (vals > self.level)).sum(axis=0)
-        self.crossings -= self._pair_crossings(np.concatenate((vals, next_row), axis=0))
 
 
 # -- amortized entropy slabs ---------------------------------------------------
@@ -526,11 +429,17 @@ class RollingPlan:
         self.static_calcs = list({id(c.calc): c.calc for c in self.fallback_cells}.values())
         self.entropy_metrics = sorted({c.metric_idx for c in entropy})
         self.entropy_calcs = list({id(c.calc): c.calc for c in entropy}.values())
-        #: rolling cells grouped per metric — redirected to the fallback
-        #: context whenever that metric's window is dirty
-        self.rolling_by_metric: dict[int, list[_Cell]] = {}
+        by_metric: dict[int, list[_Cell]] = {}
         for c in self.rolling_cells:
-            self.rolling_by_metric.setdefault(c.metric_idx, []).append(c)
+            by_metric.setdefault(c.metric_idx, []).append(c)
+        columns = sorted(by_metric)
+        #: the metric columns that carry rolling cells, ascending — the only
+        #: columns a node engine's accumulators cover
+        self.rolling_metrics = np.array(columns, dtype=np.intp)
+        #: rolling cells grouped per column of ``rolling_metrics``: group k
+        #: reads accumulator position k, and is redirected to the fallback
+        #: context whenever that column's window is dirty
+        self.rolling_groups = [by_metric[m] for m in columns]
 
     @property
     def n_selected(self) -> int:
@@ -541,69 +450,61 @@ class RollingPlan:
 
 
 class RollingNodeEngine:
-    """Rolling accumulators + selection-aware evaluation for one node."""
+    """Rolling accumulators + selection-aware evaluation for one node.
 
-    def __init__(
-        self,
-        plan: RollingPlan,
-        ring,
-        *,
-        lags: tuple[int, ...] = ROLLING_LAGS,
-        refresh_every: int = DEFAULT_REFRESH_EVERY,
-    ):
-        m = len(plan.metric_names)
+    Accumulators are sized to the plan's rolling columns, and every block
+    handed to :meth:`admit` / :meth:`evict` is gathered down to them.
+    """
+
+    def __init__(self, plan: RollingPlan, ring):
+        r = len(plan.rolling_metrics)
         self.plan = plan
         self.ring = ring
-        self.refresh_every = int(refresh_every)
-        self.moments = _Moments(m)
-        self.diffs = _Diffs(m)
-        self.extrema = _Extrema(m)
-        self.autocorr = _Autocorr(m, lags)
+        self.moments = _Moments(r)
+        self.diffs = _Diffs(r)
+        self.autocorr = _Autocorr(r)
         self.slabs = EntropySlabCache() if plan.entropy_cells else None
         self.updates = 0
         self.evictions = 0
         self.fallback_calc_runs = 0
         self.evaluations = 0
-        self._empty = np.empty((0, m))
 
     # -- ingest ----------------------------------------------------------------
 
     def admit(self, vals: np.ndarray, tail: np.ndarray) -> None:
         """Fold a new chunk in; ``tail`` is the ring's pre-append tail rows."""
-        base = self.ring.end_index - vals.shape[0]
+        cols = self.plan.rolling_metrics
+        vals, tail = vals[:, cols], tail[:, cols]
         self.moments.admit(vals)
-        self.diffs.admit(vals, tail[-1:] if tail.shape[0] else self._empty)
+        self.diffs.admit(vals, tail[-1:])
         self.autocorr.admit(vals, tail)
-        self.extrema.admit(vals, base)
         self.updates += 1
 
     def evict(self, vals: np.ndarray, head: np.ndarray) -> None:
         """Remove aged-out rows; ``head`` is the post-evict leading rows."""
         if vals.shape[0] == 0:
             return
-        self.moments.evict(vals)
-        self.diffs.evict(vals, head[:1] if head.shape[0] else self._empty)
-        self.autocorr.evict(vals, head)
-        self.extrema.evict(self.ring.start_index)
+        cols = self.plan.rolling_metrics
         self.evictions += vals.shape[0]
+        vals, head = vals[:, cols], head[:, cols]
+        self.moments.evict(vals)
+        self.diffs.evict(vals, head[:1])
+        self.autocorr.evict(vals, head)
 
     def refresh(self) -> None:
         """Exact accumulator rebuild from the ring view (drift bound)."""
-        window = self.ring.values_view()
+        window = self.ring.values_view()[:, self.plan.rolling_metrics]
         self.moments.refresh(window)
         self.diffs.refresh(window)
         self.autocorr.refresh(window, self.moments.mean)
 
     # -- evaluation ------------------------------------------------------------
 
-    def dirty(self) -> np.ndarray:
-        """Metrics whose current window still holds a non-finite sample."""
-        return self.moments.bad > 0
-
     def _rolling_values(self, window_vals: np.ndarray) -> dict[str, np.ndarray]:
-        """Every rolling feature as an ``(M,)`` vector, from accumulators.
+        """Every rolling feature as an ``(R,)`` vector over the rolling columns.
 
-        Valid only for clean metrics; dirty rows are redirected to the
+        ``window_vals`` is the window gathered to ``plan.rolling_metrics``.
+        Valid only for clean columns; dirty ones are redirected to the
         batch kernels by :meth:`evaluate` before these values are read.
         """
         mom, w = self.moments, window_vals.shape[0]
@@ -611,7 +512,7 @@ class RollingNodeEngine:
         mean = mom.mean
         m2, m3, m4 = mom.m2 / fw, mom.m3 / fw, mom.m4 / fw
         std = np.sqrt(m2)
-        mn, mx = self.extrema.minima(), self.extrema.maxima()
+        mn, mx = window_vals.min(axis=0), window_vals.max(axis=0)
         v0, v1 = (window_vals[0], window_vals[1]) if w > 1 else (window_vals[0],) * 2
         vl, vl2 = (window_vals[-1], window_vals[-2]) if w > 1 else (window_vals[-1],) * 2
         out = {
@@ -662,7 +563,8 @@ class RollingNodeEngine:
     def evaluate(self) -> tuple[np.ndarray, np.ndarray]:
         """Assemble the raw selected feature row ``(1, F)`` + presence mask.
 
-        Rolling cells on clean metrics come from the accumulators; dirty
+        Rolling cells on clean metrics come from the accumulators (extrema
+        from one reduction over the window's rolling columns); dirty
         metrics and batch-only calculators run through one shared
         :class:`MetricBlockContext` over the ring view (rows = metrics),
         which is bit-identical to the offline extraction path.  Entropy
@@ -670,30 +572,32 @@ class RollingNodeEngine:
         """
         plan = self.plan
         self.evaluations += 1
-        if self.refresh_every and self.evaluations % self.refresh_every == 0:
+        if self.evaluations % REFRESH_EVERY == 0:
             self.refresh()
         window = self.ring.values_view()
-        dirty = self.dirty()
+        # A column is dirty while its window holds a non-finite sample.
+        dirty = self.moments.bad > 0
         raw = np.zeros(plan.n_selected)
 
         ctx_metrics = list(plan.static_metrics)
         ctx_calcs = list(plan.static_calcs)
         redirected: list[_Cell] = []
-        for midx, cells in plan.rolling_by_metric.items():
-            if dirty[midx]:
+        for k, cells in enumerate(plan.rolling_groups):
+            if dirty[k]:
                 redirected.extend(cells)
-                if midx not in ctx_metrics:
-                    ctx_metrics.append(midx)
+                if cells[0].metric_idx not in ctx_metrics:
+                    ctx_metrics.append(cells[0].metric_idx)
                 for c in cells:
-                    if all(c.calc is not k for k in ctx_calcs):
+                    if all(c.calc is not calc for calc in ctx_calcs):
                         ctx_calcs.append(c.calc)
         ctx_metrics.sort()
 
         if plan.rolling_cells:
-            rolled = self._rolling_values(window)
-            for c in plan.rolling_cells:
-                if not dirty[c.metric_idx]:
-                    raw[c.sel_idx] = rolled[c.feature][c.metric_idx]
+            rolled = self._rolling_values(window[:, plan.rolling_metrics])
+            for k, cells in enumerate(plan.rolling_groups):
+                if not dirty[k]:
+                    for c in cells:
+                        raw[c.sel_idx] = rolled[c.feature][k]
 
         if ctx_metrics and (plan.fallback_cells or redirected):
             row_of = {midx: r for r, midx in enumerate(ctx_metrics)}

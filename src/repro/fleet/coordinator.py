@@ -454,9 +454,11 @@ class FleetCoordinator:
     ) -> list[StreamVerdict]:
         """Feed a chunk stream through the fleet, pumping as it goes.
 
-        Pumps every *pump_every* submissions and whenever backpressure is
-        signalled, then drains until every queue is empty.  *faults* may
-        inject worker failures keyed on the running submission count.
+        Pumps every *pump_every* submissions, and whenever backpressure is
+        signalled pumps until the signalling worker's queue is back under
+        the high watermark (see :meth:`_relieve`); then drains until every
+        queue is empty.  *faults* may inject worker failures keyed on the
+        running submission count.
         """
         if pump_every < 1:
             raise ValueError("pump_every must be >= 1")
@@ -465,8 +467,10 @@ class FleetCoordinator:
             if faults is not None:
                 for worker_id in faults.due(i):
                     self.kill_worker(worker_id)
-            accepted = self.submit(chunk)
-            if not accepted or i % pump_every == 0:
+            if not self.submit(chunk):
+                owner = self._node_owner[(chunk.job_id, chunk.component_id)]
+                verdicts.extend(self._relieve(owner))
+            elif i % pump_every == 0:
                 verdicts.extend(self.pump())
         # Drain what remains.  Three distinct states keep the loop honest:
         # progress (verdicts / rebalances / redeliveries) resets the idle
@@ -487,18 +491,47 @@ class FleetCoordinator:
                 self.workers[w].busy() for w in self.alive_workers()
             ):
                 idle = 0
-                if time.monotonic() - last_progress > self.stall_timeout:
-                    self.close()
-                    raise RuntimeError(
-                        f"fleet stalled: busy workers made no progress for "
-                        f"{self.stall_timeout:.0f}s"
-                    )
-                time.sleep(0.001)  # let the scorers have the cores
+                self._wait_for_scorers(last_progress)
                 continue
             idle += 1
             if idle > self.heartbeat_timeout:
                 break
         return verdicts
+
+    def _relieve(self, worker_id: str) -> list[StreamVerdict]:
+        """Pump until *worker_id*'s queue is back under the high watermark.
+
+        An inline pump scores the whole queue, so this returns after one
+        cycle.  A process pump only moves bytes, so this waits for the
+        worker process to score; submitting on instead would shed.  It
+        also returns once the worker stops responding (the heartbeat check
+        declares it dead and rebalances its queue), and raises after
+        ``stall_timeout`` seconds in which the queue did not shrink.
+        """
+        worker = self.workers[worker_id]
+        verdicts: list[StreamVerdict] = []
+        depth = worker.queue_depth
+        last_progress = time.monotonic()
+        while True:
+            batch = self.pump()
+            verdicts.extend(batch)
+            if not worker.responsive or worker.queue_depth < self.high_watermark:
+                return verdicts
+            if batch or worker.queue_depth < depth:
+                depth = worker.queue_depth
+                last_progress = time.monotonic()
+                continue
+            self._wait_for_scorers(last_progress)
+
+    def _wait_for_scorers(self, last_progress: float) -> None:
+        """Yield the cores to busy workers; raise once they stalled too long."""
+        if time.monotonic() - last_progress > self.stall_timeout:
+            self.close()
+            raise RuntimeError(
+                f"fleet stalled: busy workers made no progress for "
+                f"{self.stall_timeout:.0f}s"
+            )
+        time.sleep(0.001)
 
     def _work_remaining(self) -> bool:
         if self._retry:

@@ -375,6 +375,32 @@ class TestProcessTransportParity:
         # The new threshold really governed the post-change windows.
         assert any(alert for _, alert, _ in process_map.values())
 
+    def test_run_stream_waits_out_backpressure_without_shedding(self):
+        # A burst several times the queue capacity, pumped only when
+        # backpressure is signalled, into a 2-slot ring: run_stream must
+        # wait for the worker process to score instead of submitting on
+        # and shedding the chunks staged behind the full ring.
+        chunks = fleet_chunks()
+        capacity = 6
+        assert len(chunks) > 5 * capacity
+        spec = RingSpec(chunk_slots=2, slot_samples=16, slot_metrics=4,
+                        verdict_slots=64)
+        maps = {}
+        for transport in ("inline", "process"):
+            fleet = FleetCoordinator(
+                EnginePipeline(), MeanDetector(), n_workers=1,
+                stream_kwargs=STREAM_KW, transport=transport,
+                queue_capacity=capacity, high_watermark=4, ring_spec=spec,
+            )
+            with fleet:
+                verdicts = fleet.run_stream(iter(chunks), pump_every=len(chunks))
+                totals = fleet.status()["totals"]
+            assert totals["backpressure_events"] > 0
+            assert totals["shed_chunks"] == 0, transport
+            maps[transport] = verdict_map(verdicts)
+        assert maps["inline"]
+        assert maps["process"] == maps["inline"]
+
     def test_overload_sheds_coordinator_side_and_conserves(self):
         fleet = FleetCoordinator(
             EnginePipeline(), MeanDetector(), n_workers=2,

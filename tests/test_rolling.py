@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ProdigyDetector
-from repro.features import (
-    FeatureExtractor,
-    NodeRingBuffer,
-    RollingCrossings,
-    full_calculators,
-)
+from repro.features import FeatureExtractor, NodeRingBuffer, full_calculators
 from repro.features.scaling import make_scaler
 from repro.features.selection import ChiSquareSelector
 from repro.monitoring import StreamingDetector
@@ -108,38 +103,6 @@ class TestNodeRingBuffer:
             NodeRingBuffer(1, capacity=0)
 
 
-class TestRollingCrossings:
-    def test_sliding_counts_match_direct(self):
-        rng = np.random.default_rng(1)
-        level = 0.5
-        rows = rng.random((200, 3))
-        rows[rng.random((200, 3)) < 0.05] = np.nan  # NaN holes
-        kern = RollingCrossings(3, level)
-        start = 0
-        for end in range(0, 200, 7):
-            new_start = max(0, end - 40)
-            if new_start > start:
-                ev = rows[start:new_start]
-                nxt = rows[new_start : new_start + 1]
-                kern.evict(ev, nxt)
-                start = new_start
-            prev = rows[max(start, end - 1) : end] if end else rows[0:0]
-            kern.admit(rows[end : end + 7], prev)
-            window = rows[start : end + 7]
-            fin = np.isfinite(window)
-            above = (fin & (window > level)).sum(axis=0)
-            gt = window > level
-            ok = fin[:-1] & fin[1:]
-            crossings = (ok & (gt[:-1] != gt[1:])).sum(axis=0)
-            np.testing.assert_allclose(kern.above, above)
-            np.testing.assert_allclose(kern.crossings, crossings)
-
-    def test_per_metric_levels_broadcast(self):
-        kern = RollingCrossings(3, np.array([0.0, 1.0, 2.0]))
-        kern.admit(np.full((4, 3), 1.5), np.empty((0, 3)))
-        np.testing.assert_array_equal(kern.above, [4.0, 4.0, 0.0])
-
-
 # -- parity: rolling engine vs the batch oracle -------------------------------
 
 
@@ -152,11 +115,12 @@ def _make_series(n_samples, names, job_id, comp, rng):
     )
 
 
-def _fit_deployment(series, n_features=40, calculators=None, prefer=None):
+def _fit_deployment(series, n_features=40, calculators=None, prefer=None, names=None):
     """Hand-fit a resample-free deployment over *series* (mixed schemas ok).
 
     ``prefer`` force-includes every feature whose name contains the given
-    substring, then fills the remaining budget by variance.
+    substring, then fills the remaining budget by variance.  ``names``
+    instead pins the selection to exactly those ``metric|feature`` names.
     """
     extractor = (
         FeatureExtractor(resample_points=None)
@@ -175,6 +139,8 @@ def _fit_deployment(series, n_features=40, calculators=None, prefer=None):
     forced = [i for i, n in enumerate(fnames) if prefer and prefer in n]
     fill = [i for i in by_var if i not in set(forced)]
     keep = np.sort(np.array((forced + fill)[:n_features], dtype=int))
+    if names is not None:
+        keep = np.array(sorted(fnames.index(n) for n in names))
     pipeline = DataPipeline(engine, n_features=len(keep))
     pipeline.selected_names_ = tuple(fnames[i] for i in keep)
     pipeline.selector_ = ChiSquareSelector.sentinel(pipeline.selected_names_, var[keep])
@@ -280,6 +246,41 @@ class TestRollingParity:
         _assert_parity(batch, rolling)
         # The dirty metric's cells must have run through the batch kernels.
         assert sd.runtime_stats()["rolling"]["fallback_calc_runs"] > 0
+
+    def test_selection_skipping_columns(self):
+        """Rolling cells on non-adjacent columns only, NaN bursts in one
+        selected column and in one column the selection never reads."""
+        rng = np.random.default_rng(31)
+        names = tuple(f"m{i}" for i in range(7))
+        series = [_make_series(260, names, 3, comp, rng) for comp in range(2)]
+        rolled = ("minimum", "maximum", "range", "absolute_maximum", "mean",
+                  "kurtosis", "abs_energy", "mean_abs_change", "autocorrelation_lag2")
+        selected = [f"{m}|{f}" for m in ("m1", "m3", "m5") for f in rolled]
+        selected += ["m0|median", "m5|quantile_q0.9"]  # batch-only cells
+        pipeline, detector = _fit_deployment(series, names=selected)
+
+        def stream(nan_cols):
+            vals = series[0].values.copy()
+            for col, lo in nan_cols:
+                vals[lo : lo + 9, col] = np.nan
+                vals[lo + 110 : lo + 114, col] = np.nan
+            src = NodeSeries(3, 0, series[0].timestamps, vals, names)
+            return _random_chunks(src, np.random.default_rng(37))
+
+        kw = dict(window_seconds=50, evaluate_every=10, consecutive_alerts=2)
+        fallbacks = []
+        for nan_cols in ((), [(3, 60)], [(3, 60), (4, 95)]):
+            chunks = stream(nan_cols)
+            _, batch = _run_stream(pipeline, detector, chunks, "batch", **kw)
+            sd, rolling = _run_stream(pipeline, detector, chunks, "rolling", **kw)
+            _assert_parity(batch, rolling)
+            assert list(sd._plans[names].rolling_metrics) == [1, 3, 5]
+            fallbacks.append(sd.runtime_stats()["rolling"]["fallback_calc_runs"])
+        clean, dirty_selected, dirty_both = fallbacks
+        # NaNs in a selected column send its cells to the batch kernels;
+        # NaNs in a column with no cells cost no fallback at all.
+        assert dirty_selected > clean
+        assert dirty_both == dirty_selected
 
     def test_heterogeneous_schemas_ingest_many(self):
         rng = np.random.default_rng(3)
