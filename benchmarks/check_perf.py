@@ -78,7 +78,7 @@ Always exits 0: this script produces perf records for the PR.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/check_perf.py [runtime.json [lifecycle.json]]
+    PYTHONPATH=src python benchmarks/check_perf.py [runtime.json [features.json [lifecycle.json ...]]]
 """
 
 from __future__ import annotations
@@ -1423,12 +1423,13 @@ def run_serving_check() -> dict:
     return result
 
 
-# -- streaming: O(1) rolling kernels vs the batch oracle -----------------------
+# -- streaming: rolling mode vs the batch oracle -------------------------------
 
 #: Required rolling-vs-batch ingest speedup at every fleet width (target ~10x).
 STREAMING_SPEEDUP_FLOOR = 5.0
-#: Max per-verdict |score_rolling - score_batch| across the parity replay.
-STREAMING_PARITY_BOUND = 1e-9
+#: Max per-verdict |score_rolling - score_batch| across the parity replay:
+#: both modes run the same kernels on the same rows, so scores are equal.
+STREAMING_PARITY_BOUND = 0.0
 
 
 def _streaming_deployment(n_metrics: int = 16, seed: int = 0):
@@ -1472,7 +1473,7 @@ def _streaming_fleet_stream(
 
 
 def run_streaming_check() -> dict:
-    """Sustained streaming ingest: rolling kernels vs batch recompute.
+    """Sustained streaming ingest: rolling mode vs batch recompute.
 
     Replays identical interleaved chunk streams through both
     ``streaming_mode`` paths of one fitted deployment at fleet widths
@@ -1640,6 +1641,7 @@ def main(argv: list[str] | None = None) -> int:
 
     runtime_baseline = committed(out_path)
     features_baseline = committed(features_out)
+    lifecycle_baseline = committed(lifecycle_out)
     fleet_baseline = committed(fleet_out)
     training_baseline = committed(training_out)
     scenarios_baseline = committed(scenarios_out)
@@ -1668,7 +1670,7 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     _diff_vs_baseline(compare_bench, "BENCH_features.json", features_baseline, fresh)
-    _write_report(
+    fresh = _write_report(
         lifecycle_out, run_lifecycle_check,
         lambda r: (
             f"registry save {r['registry']['save_ms_mean']:.1f} ms / "
@@ -1677,6 +1679,7 @@ def main(argv: list[str] | None = None) -> int:
             f"(budget {r['drift_overhead']['budget']:.2f}x)"
         ),
     )
+    _diff_vs_baseline(compare_bench, "BENCH_lifecycle.json", lifecycle_baseline, fresh)
     fresh = _write_report(fleet_out, run_fleet_check, summarise_fleet)
     _diff_vs_baseline(compare_bench, "BENCH_fleet.json", fleet_baseline, fresh)
     fresh = _write_report(

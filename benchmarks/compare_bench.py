@@ -44,6 +44,10 @@ TRACKED_METRICS = {
         "parallel_fallback.engine_seconds",
         "microbatch.batched_seconds",
     ),
+    "BENCH_lifecycle.json": (
+        "drift_overhead.bare_ms_per_window",
+        "drift_overhead.lifecycle_ms_per_window",
+    ),
     "BENCH_fleet.json": (
         "workers_1.seconds",
         "workers_2.seconds",
@@ -162,9 +166,10 @@ def format_rows(title: str, rows: list[dict]) -> str:
             lines.append(f"  {row['metric']}: no comparable baseline (skipped)")
             continue
         flag = "REGRESSED" if row["regressed"] else "ok"
+        unit = "ms" if "_ms" in row["metric"] else "s"
         lines.append(
-            f"  {row['metric']}: {row['baseline_s']:.3f}s -> {row['fresh_s']:.3f}s "
-            f"({row['ratio']:.2f}x) {flag}"
+            f"  {row['metric']}: {row['baseline_s']:.3f}{unit} -> "
+            f"{row['fresh_s']:.3f}{unit} ({row['ratio']:.2f}x) {flag}"
         )
     return "\n".join(lines)
 
@@ -179,6 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     fresh_runs = {
         "BENCH_runtime.json": check_perf.run_check,
         "BENCH_features.json": check_perf.run_feature_check,
+        "BENCH_lifecycle.json": check_perf.run_lifecycle_check,
         "BENCH_fleet.json": check_perf.run_fleet_check,
         "BENCH_training.json": check_perf.run_training_check,
         "BENCH_scenarios.json": check_perf.run_scenario_check,

@@ -35,7 +35,7 @@ The train/predict/evaluate/runtime commands accept ``--workers`` /
 environment variables) to configure the shared extraction runtime, and
 streaming consumers (fleet, lifecycle) accept ``--streaming-mode
 batch|rolling`` (``PRODIGY_STREAMING_MODE``) to pick between the batch
-window recompute and the O(1) rolling feature kernels.
+window recompute and rolling mode, which computes only the selected features.
 
 The CSV format is the LDMS-extract layout of :mod:`repro.telemetry.io`
 (index columns ``job_id, component_id, timestamp``, then metric columns);
@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runtime_opts.add_argument(
         "--streaming-mode", choices=["batch", "rolling"], default=None,
-        help="online feature path: batch recompute or O(1) rolling kernels "
-             "(default: PRODIGY_STREAMING_MODE or batch)",
+        help="online feature path: batch recompute or rolling (selected "
+             "features only) (default: PRODIGY_STREAMING_MODE or batch)",
     )
 
     scenario_opts = argparse.ArgumentParser(add_help=False)
@@ -866,8 +866,8 @@ def _fleet_deployment(n_nodes: int, n_metrics: int, n_samples: int, seed: int):
     ]
     from repro.runtime.config import get_execution_config
 
-    # The rolling streaming path slides accumulators over raw samples, so
-    # its deployment must not re-grid windows onto a resampled time axis.
+    # The rolling streaming path evaluates raw ring windows, so its
+    # deployment must not re-grid windows onto a resampled time axis.
     resample = None if get_execution_config().streaming_mode == "rolling" else 32
     engine = ParallelExtractor(FeatureExtractor(resample_points=resample))
     features, feature_names = engine.extract_matrix(series)

@@ -80,11 +80,10 @@ class Calculator:
     output_names: tuple[str, ...]
     cost: str = "cheap"
     uses_context: bool = field(default=False, compare=False)
-    #: Sliding-update family the streaming engine can compute this
-    #: calculator with ("moments", "extrema", "diffs", "autocorr",
-    #: "indicator", "entropy"); None means not incrementalizable — the
-    #: rolling path falls back to the batch kernel on the window view.
-    #: A capability hint, not identity: excluded from eq and the digest.
+    #: ``"entropy"`` on the approximate/sample entropy calculators, whose
+    #: distance tensors the rolling streaming engine recycles across
+    #: overlapping windows; None otherwise.  A capability hint, not
+    #: identity: excluded from eq and the digest.
     rolling: str | None = field(default=None, compare=False)
 
     def __call__(self, x: np.ndarray | MetricBlockContext) -> np.ndarray:
@@ -537,28 +536,28 @@ def _lempel_ziv_complexity(x) -> np.ndarray:
 # -- registry ---------------------------------------------------------------------
 
 
-def _simple(name: str, func, cost: str = "cheap", rolling: str | None = None) -> Calculator:
-    return Calculator(name, func, (name,), cost, uses_context=True, rolling=rolling)
+def _simple(name: str, func, cost: str = "cheap") -> Calculator:
+    return Calculator(name, func, (name,), cost, uses_context=True)
 
 
 def default_calculators() -> list[Calculator]:
     """The efficient calculator set used by the experiments (~95 features)."""
     qs = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
     calcs: list[Calculator] = [
-        _simple("mean", lambda c: c.mean, rolling="moments"),
+        _simple("mean", lambda c: c.mean),
         _simple("median", lambda c: c.median),
-        _simple("std", lambda c: c.std, rolling="moments"),
-        _simple("variance", lambda c: c.var, rolling="moments"),
-        _simple("minimum", lambda c: c.minimum, rolling="extrema"),
-        _simple("maximum", lambda c: c.maximum, rolling="extrema"),
-        _simple("range", lambda c: c.maximum - c.minimum, rolling="extrema"),
-        _simple("sum_values", lambda c: c.values.sum(axis=1), rolling="moments"),
-        _simple("abs_energy", lambda c: np.sum(c.squared, axis=1), rolling="moments"),
-        _simple("root_mean_square", lambda c: np.sqrt(np.mean(c.squared, axis=1)), rolling="moments"),
-        _simple("absolute_maximum", lambda c: c.abs_values.max(axis=1), rolling="extrema"),
-        _simple("skewness", _skewness, rolling="moments"),
-        _simple("kurtosis", _kurtosis, rolling="moments"),
-        _simple("variation_coefficient", _variation_coefficient, rolling="moments"),
+        _simple("std", lambda c: c.std),
+        _simple("variance", lambda c: c.var),
+        _simple("minimum", lambda c: c.minimum),
+        _simple("maximum", lambda c: c.maximum),
+        _simple("range", lambda c: c.maximum - c.minimum),
+        _simple("sum_values", lambda c: c.values.sum(axis=1)),
+        _simple("abs_energy", lambda c: np.sum(c.squared, axis=1)),
+        _simple("root_mean_square", lambda c: np.sqrt(np.mean(c.squared, axis=1))),
+        _simple("absolute_maximum", lambda c: c.abs_values.max(axis=1)),
+        _simple("skewness", _skewness),
+        _simple("kurtosis", _kurtosis),
+        _simple("variation_coefficient", _variation_coefficient),
         _simple("iqr", _iqr),
         _simple("mean_abs_deviation", lambda c: np.mean(c.abs_centered, axis=1)),
         _simple(
@@ -571,12 +570,12 @@ def default_calculators() -> list[Calculator]:
             tuple(f"quantile_q{q:g}" for q in qs),
             uses_context=True,
         ),
-        _simple("mean_abs_change", _mean_abs_change, rolling="diffs"),
-        _simple("mean_change", _mean_change, rolling="diffs"),
-        _simple("mean_second_derivative_central", _mean_second_derivative_central, rolling="diffs"),
-        _simple("absolute_sum_of_changes", _absolute_sum_of_changes, rolling="diffs"),
-        _simple("cid_ce", lambda c: _cid_ce(c, normalize=False), rolling="diffs"),
-        _simple("cid_ce_normalized", lambda c: _cid_ce(c, normalize=True), rolling="diffs"),
+        _simple("mean_abs_change", _mean_abs_change),
+        _simple("mean_change", _mean_change),
+        _simple("mean_second_derivative_central", _mean_second_derivative_central),
+        _simple("absolute_sum_of_changes", _absolute_sum_of_changes),
+        _simple("cid_ce", lambda c: _cid_ce(c, normalize=False)),
+        _simple("cid_ce_normalized", lambda c: _cid_ce(c, normalize=True)),
         _simple("mean_n_absolute_max_7", lambda c: _mean_n_absolute_max(c, 7)),
         _simple("first_location_of_maximum", _first_location_of_maximum),
         _simple("last_location_of_maximum", _last_location_of_maximum),
@@ -595,9 +594,9 @@ def default_calculators() -> list[Calculator]:
         _simple("ratio_beyond_1_sigma", lambda c: _ratio_beyond_r_sigma(c, 1.0)),
         _simple("ratio_beyond_2_sigma", lambda c: _ratio_beyond_r_sigma(c, 2.0)),
         _simple("ratio_beyond_3_sigma", lambda c: _ratio_beyond_r_sigma(c, 3.0)),
-        _simple("large_standard_deviation", _large_standard_deviation, rolling="indicator"),
+        _simple("large_standard_deviation", _large_standard_deviation),
         _simple("symmetry_looking", _symmetry_looking),
-        _simple("variance_larger_than_std", _variance_larger_than_std, rolling="indicator"),
+        _simple("variance_larger_than_std", _variance_larger_than_std),
         _simple("range_count_within_sigma", _range_count_within_sigma),
         _simple("ratio_unique_values", _ratio_unique_values),
         _simple("percentage_reoccurring_values", _percentage_reoccurring),
@@ -607,11 +606,11 @@ def default_calculators() -> list[Calculator]:
             ("trend_slope", "trend_rvalue", "trend_residual_std"),
             uses_context=True,
         ),
-        _simple("autocorrelation_lag1", lambda c: _autocorrelation(c, 1), rolling="autocorr"),
-        _simple("autocorrelation_lag2", lambda c: _autocorrelation(c, 2), rolling="autocorr"),
-        _simple("autocorrelation_lag3", lambda c: _autocorrelation(c, 3), rolling="autocorr"),
-        _simple("autocorrelation_lag5", lambda c: _autocorrelation(c, 5), rolling="autocorr"),
-        _simple("autocorrelation_lag10", lambda c: _autocorrelation(c, 10), rolling="autocorr"),
+        _simple("autocorrelation_lag1", lambda c: _autocorrelation(c, 1)),
+        _simple("autocorrelation_lag2", lambda c: _autocorrelation(c, 2)),
+        _simple("autocorrelation_lag3", lambda c: _autocorrelation(c, 3)),
+        _simple("autocorrelation_lag5", lambda c: _autocorrelation(c, 5)),
+        _simple("autocorrelation_lag10", lambda c: _autocorrelation(c, 10)),
         Calculator(
             "agg_autocorrelation",
             _agg_autocorrelation,

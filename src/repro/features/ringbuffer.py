@@ -9,9 +9,7 @@ matching ``(capacity,)`` timestamp vector, written with wraparound:
 
 * **append** is a vectorised scatter of the chunk rows (the buffer grows
   geometrically and re-linearises only when a window outgrows capacity);
-* **evict** is a pointer advance — aged-out rows are *returned* (the
-  rolling kernels need their values to inverse-update accumulators)
-  before their slots are recycled;
+* **evict** is a pointer advance over the aged-out prefix;
 * **window materialisation** is a zero-copy slice while the live region
   is contiguous and a single two-segment stitch after wraparound — never
   a per-chunk concatenation.
@@ -100,26 +98,16 @@ class NodeRingBuffer:
         self.size += c
         self.total_admitted += c
 
-    def evict_before(self, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-        """Drop rows with ``timestamp < cutoff``; return their (ts, values).
-
-        The returned arrays are copies taken before the slots are recycled,
-        in admission order — exactly what the rolling kernels need to
-        inverse-update their accumulators.
-        """
+    def evict_before(self, cutoff: float) -> int:
+        """Drop rows with ``timestamp < cutoff``; return how many were dropped."""
         if self.size == 0:
-            return (np.empty(0), np.empty((0, self.n_metrics)))
-        ts = self.timestamps_view()
+            return 0
         # Rows are time-ordered, so the evicted set is a prefix.
-        e = int(np.searchsorted(ts, cutoff, side="left"))
-        if e == 0:
-            return (np.empty(0), np.empty((0, self.n_metrics)))
-        ev_ts = np.array(ts[:e])
-        ev_vals = np.array(self.values_view()[:e])
+        e = int(np.searchsorted(self.timestamps_view(), cutoff, side="left"))
         self._head = (self._head + e) % self.capacity
         self.size -= e
         self.total_evicted += e
-        return ev_ts, ev_vals
+        return e
 
     def _grow(self, needed: int) -> None:
         new_cap = max(self.capacity * 2, needed)
@@ -158,13 +146,3 @@ class NodeRingBuffer:
         window), so materialisation copies exactly once.
         """
         return np.array(self.timestamps_view()), np.array(self.values_view())
-
-    def head_rows(self, k: int) -> np.ndarray:
-        """Copy of the first ``min(k, size)`` live rows ``(k, M)``."""
-        k = min(int(k), self.size)
-        return np.array(self.values_view()[:k])
-
-    def tail_rows(self, k: int) -> np.ndarray:
-        """Copy of the last ``min(k, size)`` live rows ``(k, M)``."""
-        k = min(int(k), self.size)
-        return np.array(self.values_view()[self.size - k :])

@@ -21,20 +21,20 @@ list-of-chunks concatenation.  Two feature paths run on top of it:
   materialised window through the pipeline's runtime engine
   (:class:`~repro.runtime.parallel.ParallelExtractor`), whose content-hash
   cache memoises replayed windows.  This is the parity oracle.
-* ``streaming_mode="rolling"`` — O(1) sliding-update kernels
-  (:class:`~repro.features.rolling.RollingNodeEngine`) fed by the ring's
-  admit/evict deltas; calculators without a rolling kernel fall back to
-  the batch kernels on the window view, per calculator.  Requires a fitted
-  :class:`DataPipeline` whose extractor does *not* resample
-  (``resample_points=None``): resampling re-grids every window onto a
-  shifting time axis that no sliding accumulator can track.
+* ``streaming_mode="rolling"`` — compute only the fitted selection's
+  cells (:class:`~repro.features.rolling.RollingNodeEngine`): the batch
+  kernels of just the selected calculators, on one context over the
+  node's ring window restricted to the selected columns.  Requires a
+  fitted :class:`DataPipeline` whose extractor does *not* resample
+  (``resample_points=None``): the cells are evaluated on the raw ring
+  window, which a resampling extractor would first re-grid.
 
 The mode defaults from :func:`~repro.runtime.config.get_execution_config`
 (``PRODIGY_STREAMING_MODE`` / ``--streaming-mode``), so fleet workers —
 including forked process-transport workers — inherit it with no plumbing.
 Both modes share calibration (batch-scored, so thresholds are identical)
 and verdict semantics: same stream in, same (score, alert, streak) out,
-to the rolling engine's ≤ 1e-9 parity bound.
+exactly — both modes run the same kernels on the same rows.
 """
 
 from __future__ import annotations
@@ -46,16 +46,12 @@ import numpy as np
 
 from repro.core.prodigy import ProdigyDetector
 from repro.features.ringbuffer import NodeRingBuffer
-from repro.features.rolling import ROLLING_LAGS, RollingNodeEngine, RollingPlan
+from repro.features.rolling import RollingNodeEngine, RollingPlan
 from repro.pipeline.datapipeline import DataPipeline
 from repro.runtime.config import STREAMING_MODES, get_execution_config
 from repro.telemetry.frame import NodeSeries
 
 __all__ = ["StreamVerdict", "StreamingDetector"]
-
-#: Context rows the rolling kernels need around admit/evict boundaries
-#: (the largest autocorrelation lag).
-_MAX_LAG = max(ROLLING_LAGS)
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,7 @@ class StreamVerdict:
 
 
 class _NodeState:
-    """Ring-backed buffer + rolling accumulators + debounce for one node."""
+    """Ring-backed buffer + rolling engine + debounce for one node."""
 
     __slots__ = ("ring", "metric_names", "rolling", "last_ts", "since_last_eval", "streak")
 
@@ -155,10 +151,10 @@ class StreamingDetector:
             if extractor.resample_points is not None:
                 raise ValueError(
                     "streaming_mode='rolling' requires an extractor with "
-                    "resample_points=None: resampling re-grids every window "
-                    "onto a shifting time axis that sliding accumulators "
-                    "cannot track; fit the deployment without resampling or "
-                    "use streaming_mode='batch'"
+                    "resample_points=None: rolling mode evaluates the selected "
+                    "cells on the raw ring window, which resampling would "
+                    "re-grid; fit the deployment without resampling or use "
+                    "streaming_mode='batch'"
                 )
         self._states: dict[tuple[int, int], _NodeState] = {}
         #: rolling evaluation plans shared across nodes with one schema
@@ -235,8 +231,9 @@ class StreamingDetector:
         pipeline engine — one ``(N, T, M)`` block per distinct window
         length instead of N ``(1, T, M)`` extractions, so
         concurrently-reporting nodes share each metric slab's context and
-        one engine dispatch.  In rolling mode each due window is an O(1)
-        accumulator evaluation, so windows are evaluated directly.
+        one engine dispatch.  In rolling mode each due window runs only the
+        selected calculators on the node's ring, so windows are evaluated
+        directly.
         Verdicts (scoring, streaks, lifecycle observation) are emitted
         sequentially in arrival order, exactly as repeated :meth:`ingest`
         calls would; if a lifecycle promotion hot-swaps the detector
@@ -244,12 +241,12 @@ class StreamingDetector:
         model, matching sequential semantics (their already-extracted
         features are model-independent).
 
-        Rolling-mode features are read from the accumulators *at the
-        moment each window comes due*, inside the buffering loop — a
-        node contributing several chunks to one micro-batch keeps
-        advancing its accumulators, and a deferred read would see state
-        newer than the due window.  Scoring still happens at emission
-        time, preserving the hot-swap semantics above.
+        Rolling-mode features are read from the ring *at the moment each
+        window comes due*, inside the buffering loop — a node contributing
+        several chunks to one micro-batch keeps advancing its ring, and a
+        deferred read would see rows newer than the due window.  Scoring
+        still happens at emission time, preserving the hot-swap semantics
+        above.
         """
         if self.streaming_mode == "rolling":
             rolled: list[tuple[tuple[int, int], NodeSeries, np.ndarray]] = []
@@ -323,37 +320,21 @@ class StreamingDetector:
         if state is None:
             state = self._make_state(chunk.metric_names)
             self._states[key] = state
-        if chunk.n_metrics != state.ring.n_metrics:
+        if chunk.metric_names != state.metric_names:
             raise ValueError(
-                f"chunk for node {key} has {chunk.n_metrics} metrics, "
-                f"buffer was created with {state.ring.n_metrics}"
+                f"chunk for node {key} has metrics {chunk.metric_names}, "
+                f"buffer was created with {state.metric_names}"
             )
         if chunk.timestamps[0] <= state.last_ts:
             raise ValueError(f"out-of-order chunk for node {key}")
         state.last_ts = float(chunk.timestamps[-1])
 
-        ring, rolling = state.ring, state.rolling
-        cutoff = state.last_ts - self.window_seconds
-        ev_ts, ev_vals = ring.evict_before(cutoff)
-        if rolling is not None and ev_ts.shape[0]:
-            rolling.evict(ev_vals, ring.head_rows(_MAX_LAG))
-        tail = ring.tail_rows(_MAX_LAG) if rolling is not None else None
+        ring = state.ring
         ring.append(chunk.timestamps, chunk.values)
-        if rolling is not None:
-            rolling.admit(chunk.values, tail)
-        # A chunk longer than the window leaves a stale prefix of itself
-        # (only possible when the first eviction emptied the ring).
-        ev2_ts, ev2_vals = ring.evict_before(cutoff)
-        if rolling is not None and ev2_ts.shape[0]:
-            rolling.evict(ev2_vals, ring.head_rows(_MAX_LAG))
-
+        evicted = ring.evict_before(state.last_ts - self.window_seconds)
         engine = getattr(self.pipeline, "engine", None)
-        if engine is not None and engine.config.instrument:
-            evicted = ev_ts.shape[0] + ev2_ts.shape[0]
-            if evicted:
-                engine.instrumentation.count("ring_evictions", evicted)
-            if rolling is not None:
-                engine.instrumentation.count("rolling_updates", 1)
+        if evicted and engine is not None and engine.config.instrument:
+            engine.instrumentation.count("ring_evictions", evicted)
 
         state.since_last_eval += chunk.n_timestamps
         if state.since_last_eval < self.evaluate_every:
@@ -408,8 +389,8 @@ class StreamingDetector:
     def _swap_detector(self, detector: ProdigyDetector) -> None:
         """Hot-swap in a promoted model; alert streaks start clean.
 
-        Rolling accumulators are feature-level state, independent of the
-        detector, so they carry straight across a swap.
+        Rolling-mode state (rings, entropy slabs) is feature-level,
+        independent of the detector, so it carries straight across a swap.
         """
         self.detector = detector
         self.threshold_ = float(detector.threshold_)
@@ -429,16 +410,15 @@ class StreamingDetector:
         return features, float(self.detector.anomaly_score(features)[0])
 
     def _rolling_features(self, key: tuple[int, int]) -> np.ndarray:
-        """Feature rows from the node's rolling accumulators, read *now*.
+        """Feature rows from the node's ring window, read *now*.
 
-        Raw rolling/fallback values are assembled by the node engine; the
-        scale + mask step here mirrors ``transform_series_masked`` exactly
-        (absent metrics scale from 0 and are re-zeroed under the mask), so
-        a clean window's row matches the batch path bit-for-bit and a
-        NaN-bearing one matches through the shared fallback kernels.
+        Raw selected values are assembled by the node engine; the scale +
+        mask step here mirrors ``transform_series_masked`` exactly (absent
+        metrics scale from 0 and are re-zeroed under the mask), so the row
+        matches the batch path bit-for-bit.
 
-        Must be called while the accumulators still describe the due
-        window — before any further chunk for this node is buffered.
+        Must be called while the ring still holds the due window — before
+        any further chunk for this node is buffered.
         """
         state = self._states[key]
         engine = getattr(self.pipeline, "engine", None)
@@ -471,8 +451,7 @@ class StreamingDetector:
         }
         if self.streaming_mode == "rolling":
             stats["rolling"] = {
-                "updates": sum(s.rolling.updates for s in self._states.values()),
-                "evictions": sum(s.rolling.evictions for s in self._states.values()),
+                "evictions": sum(s.ring.total_evicted for s in self._states.values()),
                 "fallback_calc_runs": sum(
                     s.rolling.fallback_calc_runs for s in self._states.values()
                 ),

@@ -84,8 +84,8 @@ class ExecutionConfig:
         How :class:`~repro.monitoring.streaming.StreamingDetector`
         computes evaluation-window features: ``"batch"`` (recompute every
         calculator on the materialised window — the parity oracle) or
-        ``"rolling"`` (O(1) sliding-update kernels over the per-node ring
-        buffer, with per-calculator fallback to the batch kernels).
+        ``"rolling"`` (only the fitted selection's cells, computed by the
+        batch kernels on the per-node ring window).
     """
 
     n_workers: int = 1

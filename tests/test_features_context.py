@@ -424,6 +424,16 @@ class TestCompareBench:
         assert all(not r["regressed"] for r in rows)
         assert rows[0]["ratio"] is None  # missing baseline side
 
+    def test_format_rows_units_follow_metric_path(self):
+        rows = self.cb.compare_payloads(
+            {"q": {"p99_ms": 2.0}, "s": {"seconds": 1.0}},
+            {"q": {"p99_ms": 3.0}, "s": {"seconds": 1.0}},
+            ("q.p99_ms", "s.seconds"),
+        )
+        text = self.cb.format_rows("t", rows)
+        assert "q.p99_ms: 2.000ms -> 3.000ms" in text
+        assert "s.seconds: 1.000s -> 1.000s" in text
+
     def test_tracked_metrics_resolve_in_committed_baselines(self):
         import json
 

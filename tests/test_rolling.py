@@ -1,4 +1,4 @@
-"""Tests for the per-node ring buffer and the O(1) rolling feature engine."""
+"""Tests for the per-node ring buffer and the rolling feature engine."""
 
 import numpy as np
 import pytest
@@ -30,17 +30,15 @@ class TestNodeRingBuffer:
     def test_evict_before_returns_prefix_in_admission_order(self):
         ring = NodeRingBuffer(1, capacity=8)
         ring.append(np.arange(6.0), np.arange(6.0)[:, None])
-        ev_ts, ev_vals = ring.evict_before(3.0)
-        np.testing.assert_array_equal(ev_ts, [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(ev_vals[:, 0], [0.0, 1.0, 2.0])
-        assert ring.size == 3
+        assert ring.evict_before(3.0) == 3
+        assert ring.size == 3 and ring.total_evicted == 3
         np.testing.assert_array_equal(ring.timestamps_view(), [3.0, 4.0, 5.0])
+        np.testing.assert_array_equal(ring.values_view()[:, 0], [3.0, 4.0, 5.0])
 
     def test_evict_nothing_below_cutoff(self):
         ring = NodeRingBuffer(1, capacity=4)
         ring.append(np.arange(3.0), np.zeros((3, 1)))
-        ev_ts, ev_vals = ring.evict_before(-1.0)
-        assert ev_ts.shape == (0,) and ev_vals.shape == (0, 1)
+        assert ring.evict_before(-1.0) == 0
         assert ring.size == 3
 
     def test_wraparound_views_match_window(self):
@@ -78,13 +76,6 @@ class TestNodeRingBuffer:
         ring.append(np.arange(6.0, 12.0), np.zeros((6, 1)))  # forces growth
         assert (ring.start_index, ring.end_index) == (2, 12)
         assert ring.total_admitted == 12 and ring.total_evicted == 2
-
-    def test_head_tail_rows(self):
-        ring = NodeRingBuffer(1, capacity=8)
-        ring.append(np.arange(5.0), np.arange(5.0)[:, None])
-        np.testing.assert_array_equal(ring.head_rows(2)[:, 0], [0.0, 1.0])
-        np.testing.assert_array_equal(ring.tail_rows(2)[:, 0], [3.0, 4.0])
-        assert ring.tail_rows(99).shape == (5, 1)
 
     def test_duration_and_last_timestamp(self):
         ring = NodeRingBuffer(1, capacity=8)
@@ -190,7 +181,7 @@ def _run_stream(pipeline, detector, chunks, mode, micro_batch=None, **kwargs):
     return sd, verdicts
 
 
-def _assert_parity(batch, rolling, tol=1e-9):
+def _assert_parity(batch, rolling, tol=0.0):
     assert len(batch) == len(rolling) and len(batch) > 0
     assert _verdict_tuples(batch) == _verdict_tuples(rolling)
     deltas = [
@@ -223,7 +214,6 @@ class TestRollingParity:
         _assert_parity(batch, rolling)
         stats = sd.runtime_stats()
         assert stats["streaming_mode"] == "rolling"
-        assert stats["rolling"]["updates"] == len(chunks)
         assert stats["rolling"]["evictions"] > 0
 
     def test_nan_bearing_metric_falls_back_in_parity(self, rolling_deployment):
@@ -244,12 +234,12 @@ class TestRollingParity:
             window_seconds=60, evaluate_every=12,
         )
         _assert_parity(batch, rolling)
-        # The dirty metric's cells must have run through the batch kernels.
+        # Every cell, the NaN-bearing metric's included, runs the batch kernels.
         assert sd.runtime_stats()["rolling"]["fallback_calc_runs"] > 0
 
     def test_selection_skipping_columns(self):
-        """Rolling cells on non-adjacent columns only, NaN bursts in one
-        selected column and in one column the selection never reads."""
+        """Cells on non-adjacent columns only, NaN bursts in one selected
+        column and in one column the selection never reads."""
         rng = np.random.default_rng(31)
         names = tuple(f"m{i}" for i in range(7))
         series = [_make_series(260, names, 3, comp, rng) for comp in range(2)]
@@ -268,19 +258,18 @@ class TestRollingParity:
             return _random_chunks(src, np.random.default_rng(37))
 
         kw = dict(window_seconds=50, evaluate_every=10, consecutive_alerts=2)
-        fallbacks = []
+        calc_runs = []
         for nan_cols in ((), [(3, 60)], [(3, 60), (4, 95)]):
             chunks = stream(nan_cols)
             _, batch = _run_stream(pipeline, detector, chunks, "batch", **kw)
             sd, rolling = _run_stream(pipeline, detector, chunks, "rolling", **kw)
             _assert_parity(batch, rolling)
-            assert list(sd._plans[names].rolling_metrics) == [1, 3, 5]
-            fallbacks.append(sd.runtime_stats()["rolling"]["fallback_calc_runs"])
-        clean, dirty_selected, dirty_both = fallbacks
-        # NaNs in a selected column send its cells to the batch kernels;
-        # NaNs in a column with no cells cost no fallback at all.
-        assert dirty_selected > clean
-        assert dirty_both == dirty_selected
+            # One context over the selected columns; m2, m4 and m6 stay out.
+            assert list(sd._plans[names].context.metrics) == [0, 1, 3, 5]
+            calc_runs.append(sd.runtime_stats()["rolling"]["fallback_calc_runs"])
+        # NaN bursts, in a selected column or not, change no calculator count.
+        assert calc_runs[0] > 0
+        assert calc_runs[1] == calc_runs[0] and calc_runs[2] == calc_runs[0]
 
     def test_heterogeneous_schemas_ingest_many(self):
         rng = np.random.default_rng(3)
@@ -352,6 +341,35 @@ class TestRollingParity:
         _assert_parity(batch, rolling)
         state = next(iter(sd._states.values()))
         assert state.ring.unwrap_copies > 0  # wraparound actually exercised
+
+    def test_chunks_longer_than_window(self, rolling_deployment):
+        """45-90-row chunks on a 40 s window: every append leaves a stale
+        prefix of the chunk itself, which the same ingest must evict."""
+        pipeline, detector, series = rolling_deployment
+        crng = np.random.default_rng(43)
+        per_node = [_random_chunks(s, crng, lo=45, hi=91) for s in series]
+        stream = [
+            node[i]
+            for i in range(max(len(p) for p in per_node))
+            for node in per_node
+            if i < len(node)
+        ]
+        kw = dict(window_seconds=40, evaluate_every=10, consecutive_alerts=2)
+        for micro_batch in (None, 4):
+            _, batch = _run_stream(
+                pipeline, detector, stream, "batch", micro_batch=micro_batch, **kw
+            )
+            sd = StreamingDetector(pipeline, detector, streaming_mode="rolling", **kw)
+            rolling = []
+            for i in range(0, len(stream), micro_batch or 1):
+                if micro_batch is None:
+                    verdict = sd.ingest(stream[i])
+                    rolling += [verdict] if verdict is not None else []
+                else:
+                    rolling += sd.ingest_many(stream[i : i + micro_batch])
+                # 1 Hz samples: a 40 s window holds at most 41 rows.
+                assert max(s.ring.size for s in sd._states.values()) <= 41
+            _assert_parity(batch, rolling)
 
     def test_entropy_slabs_reused_with_full_calculators(self):
         rng = np.random.default_rng(23)

@@ -152,6 +152,24 @@ class TestStreamingDetector:
         with pytest.raises(ValueError, match=r"empty chunk for node \(50, "):
             stream.ingest(empty)
 
+    def test_same_width_chunk_with_other_columns_rejected(self, stream_deployment):
+        pipe, det, healthy, _ = stream_deployment
+        stream = StreamingDetector(pipe, det)
+        first, second = list(chunks_of(healthy, 40))[:2]
+        stream.ingest(first)
+        names = healthy.metric_names
+        reordered = names[-1:] + names[:-1]
+        renamed = tuple(f"x{i}" for i in range(len(names)))
+        for other in (reordered, renamed):
+            chunk = NodeSeries(
+                healthy.job_id, healthy.component_id,
+                second.timestamps, second.values, other,
+            )
+            with pytest.raises(ValueError, match=r"chunk for node \(50, \d+\) has metrics"):
+                stream.ingest(chunk)
+        key = f"{healthy.job_id}:{healthy.component_id}"
+        assert stream.runtime_stats()["buffered_samples"] == {key: 40}
+
     def test_calibrate_matches_legacy_mask_scan(self, stream_deployment):
         """searchsorted window bounds are bit-identical to the old O(T^2) mask."""
         pipe, det, healthy, _ = stream_deployment
