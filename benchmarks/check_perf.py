@@ -1,6 +1,7 @@
 """Non-gating perf smoke: writes ``BENCH_runtime.json``, ``BENCH_features.json``,
 ``BENCH_lifecycle.json``, ``BENCH_fleet.json``, ``BENCH_training.json``,
-``BENCH_scenarios.json``, ``BENCH_dsos.json``, and ``BENCH_serving.json``.
+``BENCH_scenarios.json``, ``BENCH_dsos.json``, ``BENCH_serving.json`` and
+``BENCH_streaming.json`` (one :data:`BENCHES` row each).
 
 Runtime check: the default extraction workload (32 runs x 96 metrics x
 360 s, resample 128) through three engine configurations — serial/no-cache,
@@ -89,19 +90,11 @@ import sys
 import time
 import traceback
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUT = REPO_ROOT / "BENCH_runtime.json"
-DEFAULT_FEATURES_OUT = REPO_ROOT / "BENCH_features.json"
-DEFAULT_LIFECYCLE_OUT = REPO_ROOT / "BENCH_lifecycle.json"
-DEFAULT_FLEET_OUT = REPO_ROOT / "BENCH_fleet.json"
-DEFAULT_TRAINING_OUT = REPO_ROOT / "BENCH_training.json"
-DEFAULT_SCENARIOS_OUT = REPO_ROOT / "BENCH_scenarios.json"
-DEFAULT_DSOS_OUT = REPO_ROOT / "BENCH_dsos.json"
-DEFAULT_SERVING_OUT = REPO_ROOT / "BENCH_serving.json"
-DEFAULT_STREAMING_OUT = REPO_ROOT / "BENCH_streaming.json"
 
 #: Acceptance budget: lifecycle-attached streaming may cost at most 10%
 #: more per evaluated window than the bare detector.
@@ -1562,6 +1555,86 @@ def run_streaming_check() -> dict:
     return result
 
 
+def summarise_runtime(r: dict) -> str:
+    return (
+        f"serial {r['serial']['samples_per_sec']:.1f} samples/s, "
+        f"warm cache {r['warm_cache']['samples_per_sec']:.1f} samples/s "
+        f"({r['warm_cache']['speedup_vs_serial']:.1f}x, "
+        f"hit rate {r['warm_cache']['cache_hit_rate']:.2f})"
+    )
+
+
+def summarise_features(r: dict) -> str:
+    return (
+        f"full set {r['full_set']['speedup_vs_reference']:.1f}x vs reference "
+        f"(expensive tier {r['expensive_tier']['speedup_vs_reference']:.1f}x), "
+        f"fallback {r['parallel_fallback']['speedup_vs_forced_pool']:.2f}x vs pool, "
+        f"microbatch {r['microbatch']['speedup']:.2f}x, "
+        f"cheap-tier bit parity {r['parity']['cheap_tier_bit_identical']}"
+    )
+
+
+def summarise_lifecycle(r: dict) -> str:
+    return (
+        f"registry save {r['registry']['save_ms_mean']:.1f} ms / "
+        f"load {r['registry']['load_ms_mean']:.1f} ms; drift overhead "
+        f"{r['drift_overhead']['overhead_ratio']:.3f}x per window "
+        f"(budget {r['drift_overhead']['budget']:.2f}x)"
+    )
+
+
+def summarise_training(r: dict) -> str:
+    return (
+        f"VAE fit {r['training']['speedup_vs_reference']:.2f}x vs reference "
+        f"(bit-identical weights {r['training']['weights_bit_identical']}); "
+        f"CoMTE {r['explain']['speedup_batched_series']:.1f}x series-batched / "
+        f"{r['explain']['speedup_batched_features']:.1f}x feature-space "
+        f"vs per-candidate (identical metric sets "
+        f"{r['explain']['identical_metric_sets']})"
+    )
+
+
+def summarise_scenarios(r: dict) -> str:
+    return (
+        f"gpu-cluster simulate {r['simulate']['seconds']:.2f}s "
+        f"({r['simulate']['node_runs']} node-runs, "
+        f"{r['simulate']['union_columns']} union columns), "
+        f"load {r['load']['seconds']:.2f}s, fit {r['fit']['seconds']:.2f}s, "
+        f"score {r['score']['node_runs_per_sec']:.1f} runs/s; "
+        f"synthesis parity {r['parity']['synthesis_bit_identical']}, "
+        f"grouping parity {r['parity']['grouping_bit_identical']}"
+    )
+
+
+def summarise_dsos(r: dict) -> str:
+    return (
+        f"dsos {r['ingest']['rows'] / 1e6:.1f}M rows: ingest "
+        f"{r['ingest']['hist_rows_per_sec'] / 1e6:.2f}M rows/s "
+        f"({r['ingest']['raw_segments']} segments, "
+        f"{r['ingest']['bytes_per_row']:.1f} B/row); first query "
+        f"{r['first_query']['speedup']:.1f}x vs legacy consolidation "
+        f"(floor {r['first_query']['floor']:.0f}x); window queries "
+        f"p50 {r['query']['p50_ms']:.2f} ms / p99 {r['query']['p99_ms']:.2f} ms; "
+        f"compaction {r['compaction']['rows_per_sec'] / 1e6:.2f}M rows/s; "
+        f"parity {r['parity']['bit_identical']}"
+    )
+
+
+def summarise_serving(r: dict) -> str:
+    return (
+        f"serving cache hit {r['cache']['speedup']:.0f}x vs cold "
+        f"(floor {r['cache']['floor']:.0f}x); replay "
+        f"{r['replay']['completed']} served, interactive p99 "
+        f"{r['replay']['interactive_p99_ms']:.2f} ms "
+        f"(SLO {r['replay']['interactive_slo_ms']:.0f} ms, met "
+        f"{r['replay']['interactive_slo_met']}), batch quota rejections "
+        f"{r['replay']['batch_rejected_quota']}, "
+        f"{r['replay']['stale_responses']} stale across promotion "
+        f"{' -> '.join(r['replay']['versions_served'])}, "
+        f"{r['replay']['priority_inversions']} inversions"
+    )
+
+
 def summarise_streaming(r: dict) -> str:
     """One-line streaming report; also used by the CI streaming-smoke job."""
     return (
@@ -1621,125 +1694,39 @@ def _diff_vs_baseline(compare_bench, name: str, baseline: dict | None, fresh: di
               "run compare_bench.py to gate)", file=sys.stderr)
 
 
+class Bench(NamedTuple):
+    """One bench: the record it writes, how to run it, its summary line."""
+
+    filename: str
+    run: Callable[[], dict]
+    summarise: Callable[[dict], str]
+
+
+#: Every bench, in the order of ``main``'s positional output paths.
+#: ``compare_bench.py`` re-runs the same table against its tracked metrics.
+BENCHES = (
+    Bench("BENCH_runtime.json", run_check, summarise_runtime),
+    Bench("BENCH_features.json", run_feature_check, summarise_features),
+    Bench("BENCH_lifecycle.json", run_lifecycle_check, summarise_lifecycle),
+    Bench("BENCH_fleet.json", run_fleet_check, summarise_fleet),
+    Bench("BENCH_training.json", run_training_check, summarise_training),
+    Bench("BENCH_scenarios.json", run_scenario_check, summarise_scenarios),
+    Bench("BENCH_dsos.json", run_dsos_check, summarise_dsos),
+    Bench("BENCH_serving.json", run_serving_check, summarise_serving),
+    Bench("BENCH_streaming.json", run_streaming_check, summarise_streaming),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    out_path = Path(argv[0]) if argv else DEFAULT_OUT
-    features_out = Path(argv[1]) if len(argv) > 1 else DEFAULT_FEATURES_OUT
-    lifecycle_out = Path(argv[2]) if len(argv) > 2 else DEFAULT_LIFECYCLE_OUT
-    fleet_out = Path(argv[3]) if len(argv) > 3 else DEFAULT_FLEET_OUT
-    training_out = Path(argv[4]) if len(argv) > 4 else DEFAULT_TRAINING_OUT
-    scenarios_out = Path(argv[5]) if len(argv) > 5 else DEFAULT_SCENARIOS_OUT
-    dsos_out = Path(argv[6]) if len(argv) > 6 else DEFAULT_DSOS_OUT
-    serving_out = Path(argv[7]) if len(argv) > 7 else DEFAULT_SERVING_OUT
-    streaming_out = Path(argv[8]) if len(argv) > 8 else DEFAULT_STREAMING_OUT
-
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     import compare_bench
 
-    def committed(path: Path) -> dict | None:
-        return json.loads(path.read_text()) if path.exists() else None
-
-    runtime_baseline = committed(out_path)
-    features_baseline = committed(features_out)
-    lifecycle_baseline = committed(lifecycle_out)
-    fleet_baseline = committed(fleet_out)
-    training_baseline = committed(training_out)
-    scenarios_baseline = committed(scenarios_out)
-    dsos_baseline = committed(dsos_out)
-    serving_baseline = committed(serving_out)
-    streaming_baseline = committed(streaming_out)
-
-    fresh = _write_report(
-        out_path, run_check,
-        lambda r: (
-            f"serial {r['serial']['samples_per_sec']:.1f} samples/s, "
-            f"warm cache {r['warm_cache']['samples_per_sec']:.1f} samples/s "
-            f"({r['warm_cache']['speedup_vs_serial']:.1f}x, "
-            f"hit rate {r['warm_cache']['cache_hit_rate']:.2f})"
-        ),
-    )
-    _diff_vs_baseline(compare_bench, "BENCH_runtime.json", runtime_baseline, fresh)
-    fresh = _write_report(
-        features_out, run_feature_check,
-        lambda r: (
-            f"full set {r['full_set']['speedup_vs_reference']:.1f}x vs reference "
-            f"(expensive tier {r['expensive_tier']['speedup_vs_reference']:.1f}x), "
-            f"fallback {r['parallel_fallback']['speedup_vs_forced_pool']:.2f}x vs pool, "
-            f"microbatch {r['microbatch']['speedup']:.2f}x, "
-            f"cheap-tier bit parity {r['parity']['cheap_tier_bit_identical']}"
-        ),
-    )
-    _diff_vs_baseline(compare_bench, "BENCH_features.json", features_baseline, fresh)
-    fresh = _write_report(
-        lifecycle_out, run_lifecycle_check,
-        lambda r: (
-            f"registry save {r['registry']['save_ms_mean']:.1f} ms / "
-            f"load {r['registry']['load_ms_mean']:.1f} ms; drift overhead "
-            f"{r['drift_overhead']['overhead_ratio']:.3f}x per window "
-            f"(budget {r['drift_overhead']['budget']:.2f}x)"
-        ),
-    )
-    _diff_vs_baseline(compare_bench, "BENCH_lifecycle.json", lifecycle_baseline, fresh)
-    fresh = _write_report(fleet_out, run_fleet_check, summarise_fleet)
-    _diff_vs_baseline(compare_bench, "BENCH_fleet.json", fleet_baseline, fresh)
-    fresh = _write_report(
-        training_out, run_training_check,
-        lambda r: (
-            f"VAE fit {r['training']['speedup_vs_reference']:.2f}x vs reference "
-            f"(bit-identical weights {r['training']['weights_bit_identical']}); "
-            f"CoMTE {r['explain']['speedup_batched_series']:.1f}x series-batched / "
-            f"{r['explain']['speedup_batched_features']:.1f}x feature-space "
-            f"vs per-candidate (identical metric sets "
-            f"{r['explain']['identical_metric_sets']})"
-        ),
-    )
-    _diff_vs_baseline(compare_bench, "BENCH_training.json", training_baseline, fresh)
-    fresh = _write_report(
-        scenarios_out, run_scenario_check,
-        lambda r: (
-            f"gpu-cluster simulate {r['simulate']['seconds']:.2f}s "
-            f"({r['simulate']['node_runs']} node-runs, "
-            f"{r['simulate']['union_columns']} union columns), "
-            f"load {r['load']['seconds']:.2f}s, fit {r['fit']['seconds']:.2f}s, "
-            f"score {r['score']['node_runs_per_sec']:.1f} runs/s; "
-            f"synthesis parity {r['parity']['synthesis_bit_identical']}, "
-            f"grouping parity {r['parity']['grouping_bit_identical']}"
-        ),
-    )
-    _diff_vs_baseline(compare_bench, "BENCH_scenarios.json", scenarios_baseline, fresh)
-    fresh = _write_report(
-        dsos_out, run_dsos_check,
-        lambda r: (
-            f"dsos {r['ingest']['rows'] / 1e6:.1f}M rows: ingest "
-            f"{r['ingest']['hist_rows_per_sec'] / 1e6:.2f}M rows/s "
-            f"({r['ingest']['raw_segments']} segments, "
-            f"{r['ingest']['bytes_per_row']:.1f} B/row); first query "
-            f"{r['first_query']['speedup']:.1f}x vs legacy consolidation "
-            f"(floor {r['first_query']['floor']:.0f}x); window queries "
-            f"p50 {r['query']['p50_ms']:.2f} ms / p99 {r['query']['p99_ms']:.2f} ms; "
-            f"compaction {r['compaction']['rows_per_sec'] / 1e6:.2f}M rows/s; "
-            f"parity {r['parity']['bit_identical']}"
-        ),
-    )
-    _diff_vs_baseline(compare_bench, "BENCH_dsos.json", dsos_baseline, fresh)
-    fresh = _write_report(
-        serving_out, run_serving_check,
-        lambda r: (
-            f"serving cache hit {r['cache']['speedup']:.0f}x vs cold "
-            f"(floor {r['cache']['floor']:.0f}x); replay "
-            f"{r['replay']['completed']} served, interactive p99 "
-            f"{r['replay']['interactive_p99_ms']:.2f} ms "
-            f"(SLO {r['replay']['interactive_slo_ms']:.0f} ms, met "
-            f"{r['replay']['interactive_slo_met']}), batch quota rejections "
-            f"{r['replay']['batch_rejected_quota']}, "
-            f"{r['replay']['stale_responses']} stale across promotion "
-            f"{' -> '.join(r['replay']['versions_served'])}, "
-            f"{r['replay']['priority_inversions']} inversions"
-        ),
-    )
-    _diff_vs_baseline(compare_bench, "BENCH_serving.json", serving_baseline, fresh)
-    fresh = _write_report(streaming_out, run_streaming_check, summarise_streaming)
-    _diff_vs_baseline(compare_bench, "BENCH_streaming.json", streaming_baseline, fresh)
+    for i, bench in enumerate(BENCHES):
+        out_path = Path(argv[i]) if i < len(argv) else REPO_ROOT / bench.filename
+        baseline = json.loads(out_path.read_text()) if out_path.exists() else None
+        fresh = _write_report(out_path, bench.run, bench.summarise)
+        _diff_vs_baseline(compare_bench, bench.filename, baseline, fresh)
     return 0
 
 

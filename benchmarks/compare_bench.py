@@ -33,6 +33,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 REGRESSION_THRESHOLD = 1.2
 
 #: Wall-clock metrics tracked per baseline file (dotted paths into the JSON).
+#: Every file needs a row in ``check_perf.BENCHES``, which runs it.
 TRACKED_METRICS = {
     "BENCH_runtime.json": (
         "serial.seconds",
@@ -181,19 +182,12 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     import check_perf
 
-    fresh_runs = {
-        "BENCH_runtime.json": check_perf.run_check,
-        "BENCH_features.json": check_perf.run_feature_check,
-        "BENCH_lifecycle.json": check_perf.run_lifecycle_check,
-        "BENCH_fleet.json": check_perf.run_fleet_check,
-        "BENCH_training.json": check_perf.run_training_check,
-        "BENCH_scenarios.json": check_perf.run_scenario_check,
-        "BENCH_dsos.json": check_perf.run_dsos_check,
-        "BENCH_serving.json": check_perf.run_serving_check,
-        "BENCH_streaming.json": check_perf.run_streaming_check,
-    }
     regressed = False
-    for filename, paths in TRACKED_METRICS.items():
+    for bench in check_perf.BENCHES:
+        filename = bench.filename
+        paths = TRACKED_METRICS.get(filename)
+        if paths is None:
+            continue
         baseline_path = REPO_ROOT / filename
         if not baseline_path.exists():
             print(f"{filename}: no committed baseline, skipping")
@@ -202,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         if not baseline.get("ok", True):
             print(f"{filename}: committed baseline marked failed, skipping")
             continue
-        fresh = fresh_runs[filename]()
+        fresh = bench.run()
         rows = compare_payloads(
             baseline, fresh, paths, threshold,
             skip_reasons=scaling_skip_reasons(filename, fresh),

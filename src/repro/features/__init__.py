@@ -12,7 +12,7 @@ from repro.features.calculators import (
 from repro.features.context import EntropyProfile, MetricBlockContext, as_context
 from repro.features.extraction import FeatureExtractor
 from repro.features.ringbuffer import NodeRingBuffer
-from repro.features.rolling import EntropySlabCache, RollingNodeEngine, RollingPlan
+from repro.features.rolling import RollingPlan
 from repro.features.scaling import (
     MinMaxScaler,
     RobustScaler,
@@ -34,8 +34,6 @@ __all__ = [
     "MetricBlockContext",
     "MinMaxScaler",
     "NodeRingBuffer",
-    "EntropySlabCache",
-    "RollingNodeEngine",
     "RollingPlan",
     "RobustScaler",
     "Scaler",

@@ -80,11 +80,6 @@ class Calculator:
     output_names: tuple[str, ...]
     cost: str = "cheap"
     uses_context: bool = field(default=False, compare=False)
-    #: ``"entropy"`` on the approximate/sample entropy calculators, whose
-    #: distance tensors the rolling streaming engine recycles across
-    #: overlapping windows; None otherwise.  A capability hint, not
-    #: identity: excluded from eq and the digest.
-    rolling: str | None = field(default=None, compare=False)
 
     def __call__(self, x: np.ndarray | MetricBlockContext) -> np.ndarray:
         ctx = as_context(x)
@@ -653,11 +648,11 @@ def full_calculators() -> list[Calculator]:
     extra = [
         Calculator(
             "approximate_entropy", _approximate_entropy, ("approximate_entropy",),
-            "expensive", uses_context=True, rolling="entropy",
+            "expensive", uses_context=True,
         ),
         Calculator(
             "sample_entropy", _sample_entropy, ("sample_entropy",),
-            "expensive", uses_context=True, rolling="entropy",
+            "expensive", uses_context=True,
         ),
         Calculator(
             "permutation_entropy", _permutation_entropy, ("permutation_entropy",),

@@ -13,11 +13,6 @@ matching ``(capacity,)`` timestamp vector, written with wraparound:
 * **window materialisation** is a zero-copy slice while the live region
   is contiguous and a single two-segment stitch after wraparound — never
   a per-chunk concatenation.
-
-Rows are addressed by a monotonically increasing *global sample index*
-(``start_index`` .. ``end_index``): the entropy slab cache keys its
-recycled distance tensors on global indices, which survive both
-wraparound and growth.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ class NodeRingBuffer:
 
     __slots__ = (
         "capacity", "n_metrics", "_ts", "_vals", "_head", "size",
-        "total_admitted", "total_evicted", "grows", "unwrap_copies",
+        "total_evicted", "grows", "unwrap_copies",
     )
 
     def __init__(self, n_metrics: int, capacity: int = 64):
@@ -46,24 +41,12 @@ class NodeRingBuffer:
         self._vals = np.empty((self.capacity, self.n_metrics), dtype=np.float64)
         self._head = 0  # physical slot of the oldest live row
         self.size = 0
-        #: global index bookkeeping: the live rows are exactly
-        #: [total_evicted, total_admitted) in admission order.
-        self.total_admitted = 0
+        #: rows dropped by :meth:`evict_before` over the ring's lifetime
         self.total_evicted = 0
         self.grows = 0
         self.unwrap_copies = 0
 
     # -- introspection -------------------------------------------------------
-
-    @property
-    def start_index(self) -> int:
-        """Global index of the oldest live row."""
-        return self.total_evicted
-
-    @property
-    def end_index(self) -> int:
-        """One past the global index of the newest live row."""
-        return self.total_admitted
 
     @property
     def last_timestamp(self) -> float:
@@ -96,7 +79,6 @@ class NodeRingBuffer:
         self._ts[idx] = timestamps
         self._vals[idx] = values
         self.size += c
-        self.total_admitted += c
 
     def evict_before(self, cutoff: float) -> int:
         """Drop rows with ``timestamp < cutoff``; return how many were dropped."""

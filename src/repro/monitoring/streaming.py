@@ -22,12 +22,12 @@ list-of-chunks concatenation.  Two feature paths run on top of it:
   (:class:`~repro.runtime.parallel.ParallelExtractor`), whose content-hash
   cache memoises replayed windows.  This is the parity oracle.
 * ``streaming_mode="rolling"`` — compute only the fitted selection's
-  cells (:class:`~repro.features.rolling.RollingNodeEngine`): the batch
-  kernels of just the selected calculators, on one context over the
-  node's ring window restricted to the selected columns.  Requires a
-  fitted :class:`DataPipeline` whose extractor does *not* resample
-  (``resample_points=None``): the cells are evaluated on the raw ring
-  window, which a resampling extractor would first re-grid.
+  cells (:class:`~repro.features.rolling.RollingPlan`): the batch
+  kernels of just the selected calculators, on one context over the due
+  windows' selected columns.  Requires a fitted :class:`DataPipeline`
+  whose extractor does *not* resample (``resample_points=None``): the
+  cells are evaluated on the raw window, which a resampling extractor
+  would first re-grid.
 
 The mode defaults from :func:`~repro.runtime.config.get_execution_config`
 (``PRODIGY_STREAMING_MODE`` / ``--streaming-mode``), so fleet workers —
@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.core.prodigy import ProdigyDetector
 from repro.features.ringbuffer import NodeRingBuffer
-from repro.features.rolling import RollingNodeEngine, RollingPlan
+from repro.features.rolling import RollingPlan
 from repro.pipeline.datapipeline import DataPipeline
 from repro.runtime.config import STREAMING_MODES, get_execution_config
 from repro.telemetry.frame import NodeSeries
@@ -68,14 +68,13 @@ class StreamVerdict:
 
 
 class _NodeState:
-    """Ring-backed buffer + rolling engine + debounce for one node."""
+    """Ring-backed buffer + debounce for one node."""
 
-    __slots__ = ("ring", "metric_names", "rolling", "last_ts", "since_last_eval", "streak")
+    __slots__ = ("ring", "metric_names", "last_ts", "since_last_eval", "streak")
 
-    def __init__(self, metric_names: tuple[str, ...], rolling: RollingNodeEngine | None):
+    def __init__(self, metric_names: tuple[str, ...]):
         self.metric_names = metric_names
         self.ring = NodeRingBuffer(len(metric_names))
-        self.rolling = rolling
         #: newest timestamp ever admitted — survives full eviction, so the
         #: out-of-order guard cannot be defeated by an idle gap
         self.last_ts = -np.inf
@@ -159,6 +158,8 @@ class StreamingDetector:
         self._states: dict[tuple[int, int], _NodeState] = {}
         #: rolling evaluation plans shared across nodes with one schema
         self._plans: dict[tuple[str, ...], RollingPlan] = {}
+        #: calculator calls rolling mode has made (one per calculator per group)
+        self._calc_runs = 0
         #: window-level threshold; defaults to the detector's run-level one
         self.threshold_ = float(detector.threshold_)
 
@@ -217,7 +218,7 @@ class StreamingDetector:
             return None
         key, window = pending
         if self.streaming_mode == "rolling":
-            features = self._rolling_features(key)
+            features = self._rolling_features([window])
             score = float(self.detector.anomaly_score(features)[0])
         else:
             features, score = self._evaluate_window(window)
@@ -226,81 +227,61 @@ class StreamingDetector:
     def ingest_many(self, chunks: list[NodeSeries]) -> list[StreamVerdict]:
         """Micro-batched ingest: one verdict per due window, in chunk order.
 
-        All chunks are buffered first.  In batch mode every due window is
-        then extracted in as few feature batches as possible through the
-        pipeline engine — one ``(N, T, M)`` block per distinct window
-        length instead of N ``(1, T, M)`` extractions, so
-        concurrently-reporting nodes share each metric slab's context and
-        one engine dispatch.  In rolling mode each due window runs only the
-        selected calculators on the node's ring, so windows are evaluated
-        directly.
-        Verdicts (scoring, streaks, lifecycle observation) are emitted
-        sequentially in arrival order, exactly as repeated :meth:`ingest`
-        calls would; if a lifecycle promotion hot-swaps the detector
-        mid-batch, later windows in the same batch are scored by the new
-        model, matching sequential semantics (their already-extracted
-        features are model-independent).
-
-        Rolling-mode features are read from the ring *at the moment each
-        window comes due*, inside the buffering loop — a node contributing
-        several chunks to one micro-batch keeps advancing its ring, and a
-        deferred read would see rows newer than the due window.  Scoring
-        still happens at emission time, preserving the hot-swap semantics
-        above.
+        All chunks are buffered first; each due window is a snapshot of its
+        node's ring, so later chunks of the same node cannot change it.
+        The due windows are then extracted per (length, metric names)
+        group — rolling mode runs the group's plan once, batch mode one
+        ``(N, T, M)`` block through the pipeline engine — so
+        concurrently-reporting nodes share one context per group instead of
+        one per window.  Verdicts (scoring, streaks, lifecycle observation)
+        are emitted sequentially in arrival order, exactly as repeated
+        :meth:`ingest` calls would; if a lifecycle promotion hot-swaps the
+        detector mid-batch, later windows in the same batch are scored by
+        the new model, matching sequential semantics (their
+        already-extracted features are model-independent).
         """
-        if self.streaming_mode == "rolling":
-            rolled: list[tuple[tuple[int, int], NodeSeries, np.ndarray]] = []
-            for chunk in chunks:
-                p = self._buffer_chunk(chunk)
-                if p is not None:
-                    key, window = p
-                    rolled.append((key, window, self._rolling_features(key)))
-            verdicts = []
-            for key, window, features in rolled:
-                score = float(self.detector.anomaly_score(features)[0])
-                verdicts.append(self._emit_verdict(key, window, features, score))
-            return verdicts
-
-        pending: list[tuple[tuple[int, int], NodeSeries]] = []
-        for chunk in chunks:
-            p = self._buffer_chunk(chunk)
-            if p is not None:
-                pending.append(p)
+        pending = [p for p in map(self._buffer_chunk, chunks) if p is not None]
         if not pending:
             return []
-        engine = getattr(self.pipeline, "engine", None)
-        instrument = engine is not None and engine.config.instrument
-
         windows = [window for _, window in pending]
-        if instrument:
-            engine.instrumentation.count("stream_evaluations", len(windows))
-            engine.instrumentation.count("microbatch_batches", 1)
-            engine.instrumentation.count("microbatch_windows", len(windows))
-        rows: list[np.ndarray] = [None] * len(windows)  # type: ignore[list-item]
-        extractor = getattr(self.pipeline, "extractor", None)
-        if extractor is not None and getattr(extractor, "resample_points", None) is None:
-            # Without resampling, windows of different lengths cannot share
-            # one stacked block: batch per (length, schema) group, in a
-            # deterministic first-seen order.
-            groups: dict[tuple, list[int]] = {}
-            for i, w in enumerate(windows):
-                groups.setdefault((w.n_timestamps, w.schema_digest), []).append(i)
-            for idxs in groups.values():
-                feats, _ = self.pipeline.transform_series_masked(
-                    [windows[i] for i in idxs]
-                )
-                for i, row in zip(idxs, feats):
-                    rows[i] = row
-        else:
-            feats = self.pipeline.transform_series(windows)
-            for i, row in enumerate(feats):
-                rows[i] = row
+        inst = self._instrumentation()
+        if inst is not None:
+            inst.count("microbatch_batches", 1)
+            inst.count("microbatch_windows", len(windows))
         verdicts = []
-        for (key, window), row in zip(pending, rows):
-            features_row = row[None, :]
-            score = float(self.detector.anomaly_score(features_row)[0])
-            verdicts.append(self._emit_verdict(key, window, features_row, score))
+        for (key, window), features in zip(pending, self._group_features(windows)):
+            score = float(self.detector.anomaly_score(features)[0])
+            verdicts.append(self._emit_verdict(key, window, features, score))
         return verdicts
+
+    def _group_features(self, windows: list[NodeSeries]) -> list[np.ndarray]:
+        """One ``(1, F)`` feature row per window, extracted per group.
+
+        Without resampling, windows of different lengths cannot share one
+        stacked block: extraction runs once per (length, metric names)
+        group, in a deterministic first-seen order.
+        """
+        if self.streaming_mode == "rolling":
+            extract = self._rolling_features
+        else:
+            inst = self._instrumentation()
+            if inst is not None:
+                inst.count("stream_evaluations", len(windows))
+            extractor = getattr(self.pipeline, "extractor", None)
+            if extractor is None or getattr(extractor, "resample_points", None) is not None:
+                return [row[None, :] for row in self.pipeline.transform_series(windows)]
+
+            def extract(group: list[NodeSeries]) -> np.ndarray:
+                return self.pipeline.transform_series_masked(group)[0]
+
+        groups: dict[tuple, list[int]] = {}
+        for i, w in enumerate(windows):
+            groups.setdefault((w.n_timestamps, w.metric_names), []).append(i)
+        rows: list[np.ndarray] = [None] * len(windows)  # type: ignore[list-item]
+        for idxs in groups.values():
+            for i, row in zip(idxs, extract([windows[i] for i in idxs])):
+                rows[i] = row[None, :]
+        return rows
 
     def _buffer_chunk(
         self, chunk: NodeSeries
@@ -318,8 +299,7 @@ class StreamingDetector:
             raise ValueError(f"empty chunk for node {key}")
         state = self._states.get(key)
         if state is None:
-            state = self._make_state(chunk.metric_names)
-            self._states[key] = state
+            state = self._states[key] = _NodeState(chunk.metric_names)
         if chunk.metric_names != state.metric_names:
             raise ValueError(
                 f"chunk for node {key} has metrics {chunk.metric_names}, "
@@ -332,9 +312,9 @@ class StreamingDetector:
         ring = state.ring
         ring.append(chunk.timestamps, chunk.values)
         evicted = ring.evict_before(state.last_ts - self.window_seconds)
-        engine = getattr(self.pipeline, "engine", None)
-        if evicted and engine is not None and engine.config.instrument:
-            engine.instrumentation.count("ring_evictions", evicted)
+        inst = self._instrumentation()
+        if evicted and inst is not None:
+            inst.count("ring_evictions", evicted)
 
         state.since_last_eval += chunk.n_timestamps
         if state.since_last_eval < self.evaluate_every:
@@ -346,17 +326,6 @@ class StreamingDetector:
         state.since_last_eval = 0
         ts, vals = ring.window()
         return key, NodeSeries(key[0], key[1], ts, vals, state.metric_names)
-
-    def _make_state(self, metric_names: tuple[str, ...]) -> _NodeState:
-        if self.streaming_mode != "rolling":
-            return _NodeState(metric_names, None)
-        plan = self._plans.get(metric_names)
-        if plan is None:
-            plan = RollingPlan(self.pipeline, metric_names)
-            self._plans[metric_names] = plan
-        state = _NodeState(metric_names, None)
-        state.rolling = RollingNodeEngine(plan, state.ring)
-        return state
 
     def _emit_verdict(
         self,
@@ -389,8 +358,8 @@ class StreamingDetector:
     def _swap_detector(self, detector: ProdigyDetector) -> None:
         """Hot-swap in a promoted model; alert streaks start clean.
 
-        Rolling-mode state (rings, entropy slabs) is feature-level,
-        independent of the detector, so it carries straight across a swap.
+        The rings and rolling plans are feature-level, independent of the
+        detector, so they carry straight across a swap.
         """
         self.detector = detector
         self.threshold_ = float(detector.threshold_)
@@ -403,42 +372,42 @@ class StreamingDetector:
 
     def _evaluate_window(self, window: NodeSeries):
         """(feature rows, score) for one window — the row feeds lifecycle."""
-        engine = getattr(self.pipeline, "engine", None)
-        if engine is not None and engine.config.instrument:
-            engine.instrumentation.count("stream_evaluations", 1)
+        inst = self._instrumentation()
+        if inst is not None:
+            inst.count("stream_evaluations", 1)
         features = self.pipeline.transform_single(window)
         return features, float(self.detector.anomaly_score(features)[0])
 
-    def _rolling_features(self, key: tuple[int, int]) -> np.ndarray:
-        """Feature rows from the node's ring window, read *now*.
+    def _rolling_features(self, windows: list[NodeSeries]) -> np.ndarray:
+        """Feature rows ``(W, F)`` of equal-length windows of one schema.
 
-        Raw selected values are assembled by the node engine; the scale +
-        mask step here mirrors ``transform_series_masked`` exactly (absent
-        metrics scale from 0 and are re-zeroed under the mask), so the row
+        Raw selected values come from the schema's plan, which runs each
+        of its calculators once for the whole group; the scale + mask step
+        here mirrors ``transform_series_masked`` exactly (absent metrics
+        scale from 0 and are re-zeroed under the mask), so every row
         matches the batch path bit-for-bit.
-
-        Must be called while the ring still holds the due window — before
-        any further chunk for this node is buffered.
         """
-        state = self._states[key]
-        engine = getattr(self.pipeline, "engine", None)
-        instrument = engine is not None and engine.config.instrument
-        stage = (
-            engine.instrumentation.stage("stream:rolling")
-            if instrument else nullcontext()
-        )
-        with stage:
-            if instrument:
-                engine.instrumentation.count("stream_evaluations", 1)
-            before = state.rolling.fallback_calc_runs
-            raw, present = state.rolling.evaluate()
-            if instrument:
-                delta = state.rolling.fallback_calc_runs - before
-                if delta:
-                    engine.instrumentation.count("rolling_fallback_calcs", delta)
+        names = windows[0].metric_names
+        plan = self._plans.get(names)
+        if plan is None:
+            plan = self._plans[names] = RollingPlan(self.pipeline, names)
+        inst = self._instrumentation()
+        with inst.stage("stream:rolling") if inst is not None else nullcontext():
+            raw, present = plan.evaluate([w.values for w in windows])
+            self._calc_runs += len(plan.calcs)
+            if inst is not None:
+                inst.count("stream_evaluations", len(windows))
+                if plan.calcs:
+                    inst.count("rolling_fallback_calcs", len(plan.calcs))
             scaled = self.pipeline.scaler_.transform(raw)
-            features = np.where(present[None, :], scaled, 0.0)
-        return features
+            return np.where(present[None, :], scaled, 0.0)
+
+    def _instrumentation(self):
+        """The pipeline engine's registry when instrumentation is on, else None."""
+        engine = getattr(self.pipeline, "engine", None)
+        if engine is None or not engine.config.instrument:
+            return None
+        return engine.instrumentation
 
     def runtime_stats(self) -> dict:
         """Runtime snapshot of the extraction engine plus buffer occupancy."""
@@ -452,13 +421,7 @@ class StreamingDetector:
         if self.streaming_mode == "rolling":
             stats["rolling"] = {
                 "evictions": sum(s.ring.total_evicted for s in self._states.values()),
-                "fallback_calc_runs": sum(
-                    s.rolling.fallback_calc_runs for s in self._states.values()
-                ),
-                "entropy_slab_reuses": sum(
-                    s.rolling.slabs.reuses
-                    for s in self._states.values() if s.rolling.slabs is not None
-                ),
+                "fallback_calc_runs": self._calc_runs,
             }
         if self.lifecycle is not None:
             stats["lifecycle"] = {

@@ -434,6 +434,27 @@ class TestCompareBench:
         assert "q.p99_ms: 2.000ms -> 3.000ms" in text
         assert "s.seconds: 1.000s -> 1.000s" in text
 
+    def test_every_tracked_file_has_a_bench(self):
+        import check_perf
+
+        files = [bench.filename for bench in check_perf.BENCHES]
+        assert len(set(files)) == len(files)
+        assert set(self.cb.TRACKED_METRICS) <= set(files)
+
+    def test_check_perf_writes_positional_paths_in_table_order(self, tmp_path, monkeypatch):
+        import json
+
+        import check_perf
+
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        monkeypatch.setattr(check_perf, "BENCHES", tuple(
+            check_perf.Bench(f"BENCH_fake{i}.json", lambda i=i: {"i": i}, lambda r: "")
+            for i in range(2)
+        ))
+        outs = [tmp_path / "first.json", tmp_path / "second.json"]
+        assert check_perf.main([str(p) for p in outs]) == 0
+        assert [json.loads(p.read_text())["i"] for p in outs] == [0, 1]
+
     def test_tracked_metrics_resolve_in_committed_baselines(self):
         import json
 

@@ -369,22 +369,25 @@ class TestScanner:
 
 
 class TestRetentionTiers:
-    def build(self, tmp_path):
+    def build(self, tmp_path, flushes=1):
+        """10 minutes of 1 Hz data, sealed in *flushes* equal flushes."""
         hist = HistStore(
             tmp_path / "hist",
             segment_span=600.0,
             meters={"samp": {"ctr": CUMULATIVE, "inc": DELTA, "g": GAUGE}},
         )
-        n = 600  # 10 minutes of 1 Hz data
+        n = 600
         ts = np.arange(n, dtype=float)
         vals = np.column_stack([
             np.cumsum(np.ones(n)),            # ctr: cumulative
             np.ones(n),                       # inc: delta
             np.sin(ts / 30.0),                # g: gauge
         ])
-        hist.ingest("samp", TelemetryFrame.from_node_series(
-            [NodeSeries(1, 10, ts, vals, ("ctr", "inc", "g"))]
-        ))
+        for part in np.array_split(np.arange(n), flushes):
+            hist.ingest("samp", TelemetryFrame.from_node_series(
+                [NodeSeries(1, 10, ts[part], vals[part], ("ctr", "inc", "g"))]
+            ))
+            hist.flush()
         hist.compact()
         return hist
 
@@ -506,11 +509,18 @@ class TestRetentionTiers:
         assert reopened.query("samp", tier="1min").n_rows == 10
 
     def test_seq_survives_retention_and_reopen(self, tmp_path):
-        hist = self.build(tmp_path)
-        assert hist.container("samp")._next_seq == 600
-        hist.apply_retention(RetentionPolicy({"raw": 100.0}), now=10_000.0)
-        reopened = HistStore(tmp_path / "hist", segment_span=600.0)
-        assert reopened.container("samp")._next_seq == 600
+        for flushes in (1, 2):
+            root = tmp_path / f"flushes{flushes}"
+            hist = self.build(root, flushes=flushes)
+            assert len(hist.container("samp").segments["raw"]) == flushes
+            assert hist.container("samp")._next_seq == 600
+            hist.apply_retention(RetentionPolicy({"raw": 100.0}), now=10_000.0)
+            assert hist.container("samp").segments["raw"] == []
+            # Only the manifest remembers the sealed high-water mark now, so
+            # the last flush must have rewritten it, not just the first.
+            reopened = HistStore(root / "hist", segment_span=600.0)
+            assert reopened.container("samp").segments["raw"] == []
+            assert reopened.container("samp")._next_seq == 600
 
     def test_bad_policy_tier(self):
         with pytest.raises(ValueError, match="unknown retention tiers"):

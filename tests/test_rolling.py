@@ -67,16 +67,6 @@ class TestNodeRingBuffer:
         assert not ring.wrapped
         np.testing.assert_array_equal(ring.timestamps_view(), np.arange(2.0, 10.0))
 
-    def test_global_indices_survive_wrap_and_growth(self):
-        ring = NodeRingBuffer(1, capacity=4)
-        ring.append(np.arange(4.0), np.zeros((4, 1)))
-        ring.evict_before(2.0)
-        ring.append(np.array([4.0, 5.0]), np.zeros((2, 1)))
-        assert (ring.start_index, ring.end_index) == (2, 6)
-        ring.append(np.arange(6.0, 12.0), np.zeros((6, 1)))  # forces growth
-        assert (ring.start_index, ring.end_index) == (2, 12)
-        assert ring.total_admitted == 12 and ring.total_evicted == 2
-
     def test_duration_and_last_timestamp(self):
         ring = NodeRingBuffer(1, capacity=8)
         with pytest.raises(IndexError):
@@ -159,6 +149,18 @@ def _random_chunks(series, rng, lo=3, hi=25):
         )
         i = j
     return out
+
+
+def _lockstep_rounds(series, rows=10):
+    """Equal-size chunks of every series, one round per time slice."""
+    return [
+        [
+            NodeSeries(s.job_id, s.component_id, s.timestamps[i : i + rows],
+                       s.values[i : i + rows], s.metric_names)
+            for s in series
+        ]
+        for i in range(0, series[0].n_timestamps, rows)
+    ]
 
 
 def _verdict_tuples(verdicts):
@@ -265,7 +267,7 @@ class TestRollingParity:
             sd, rolling = _run_stream(pipeline, detector, chunks, "rolling", **kw)
             _assert_parity(batch, rolling)
             # One context over the selected columns; m2, m4 and m6 stay out.
-            assert list(sd._plans[names].context.metrics) == [0, 1, 3, 5]
+            assert list(sd._plans[names].columns) == [0, 1, 3, 5]
             calc_runs.append(sd.runtime_stats()["rolling"]["fallback_calc_runs"])
         # NaN bursts, in a selected column or not, change no calculator count.
         assert calc_runs[0] > 0
@@ -371,25 +373,123 @@ class TestRollingParity:
                 assert max(s.ring.size for s in sd._states.values()) <= 41
             _assert_parity(batch, rolling)
 
-    def test_entropy_slabs_reused_with_full_calculators(self):
+    def test_full_calculator_entropy_cells(self):
+        """Approximate/sample entropy cells, per chunk and stacked in groups."""
         rng = np.random.default_rng(23)
         names = ("m0", "m1")
         series = [_make_series(220, names, 2, comp, rng) for comp in range(2)]
         pipeline, detector = _fit_deployment(
             series, n_features=48, calculators=full_calculators(), prefer="entropy"
         )
-        assert any("entropy" in n for n in pipeline.selected_names_)
-        chunks = _random_chunks(series[0], np.random.default_rng(29))
-        _, batch = _run_stream(
-            pipeline, detector, chunks, "batch",
-            window_seconds=60, evaluate_every=12,
+        assert any("approximate_entropy" in n for n in pipeline.selected_names_)
+        assert any("sample_entropy" in n for n in pipeline.selected_names_)
+        crng = np.random.default_rng(29)
+        per_node = [_random_chunks(s, crng) for s in series]
+        stream = [
+            node[i]
+            for i in range(max(len(p) for p in per_node))
+            for node in per_node
+            if i < len(node)
+        ]
+        kw = dict(window_seconds=60, evaluate_every=12)
+        for micro_batch in (None, 4):
+            _, batch = _run_stream(
+                pipeline, detector, stream, "batch", micro_batch=micro_batch, **kw
+            )
+            sd, rolling = _run_stream(
+                pipeline, detector, stream, "rolling", micro_batch=micro_batch, **kw
+            )
+            _assert_parity(batch, rolling)
+            runs = sd.runtime_stats()["rolling"]["fallback_calc_runs"]
+            per_window = len(sd._plans[names].calcs) * len(rolling)
+            if micro_batch is None:
+                assert runs == per_window
+            else:
+                assert runs < per_window  # some groups stacked several windows
+
+    def test_one_evaluation_per_group(self, rolling_deployment):
+        """Windows due together at one length share one plan evaluation."""
+        pipeline, detector, _ = rolling_deployment
+        rng = np.random.default_rng(47)
+        names = ("m0", "m1", "m2")
+        n_nodes = 5
+        series = [_make_series(120, names, 4, comp, rng) for comp in range(n_nodes)]
+        rounds = _lockstep_rounds(series)
+        kw = dict(window_seconds=40, evaluate_every=10, consecutive_alerts=2)
+        flat = [chunk for rnd in rounds for chunk in rnd]
+        sd_one, per_chunk = _run_stream(pipeline, detector, flat, "rolling", **kw)
+        runs_per_window = (
+            sd_one.runtime_stats()["rolling"]["fallback_calc_runs"] / len(per_chunk)
         )
-        sd, rolling = _run_stream(
-            pipeline, detector, chunks, "rolling",
-            window_seconds=60, evaluate_every=12,
+
+        sd = StreamingDetector(pipeline, detector, streaming_mode="rolling", **kw)
+        grouped, due_rounds = [], 0
+        for rnd in rounds:
+            before = sd.runtime_stats()["rolling"]["fallback_calc_runs"]
+            out = sd.ingest_many(rnd)
+            runs = sd.runtime_stats()["rolling"]["fallback_calc_runs"] - before
+            if out:
+                due_rounds += 1
+                assert len(out) == n_nodes
+                assert runs == runs_per_window
+            else:
+                assert runs == 0
+            grouped += out
+        assert due_rounds >= 5
+        assert runs_per_window == len(sd._plans[names].calcs) > 0
+        _assert_parity(per_chunk, grouped)
+
+    def test_promotion_inside_one_micro_batch(self, rolling_deployment):
+        """A model promoted mid-batch scores the batch's later windows."""
+        pipeline, detector, series = rolling_deployment
+        alt = ProdigyDetector(
+            hidden_dims=(16, 8), latent_dim=4, epochs=2, batch_size=8,
+            learning_rate=1e-3, seed=42,
+        ).fit(pipeline.transform_series_masked(series)[0])
+        alt.threshold_ = -np.inf
+
+        class PromoteAt:
+            """Lifecycle stub: promotes *alt* at its k-th observed window."""
+
+            def __init__(self, k):
+                self.k, self.seen = k, 0
+
+            def observe_window(self, window, features, score, *, alert, active_detector):
+                self.seen += 1
+                return alt if self.seen == self.k else None
+
+        rounds = _lockstep_rounds(series)[:12]
+        kw = dict(window_seconds=40, evaluate_every=10, consecutive_alerts=1)
+        k = 5  # the 2nd of 3 windows in the second due round
+
+        def run(micro_batched):
+            sd = StreamingDetector(
+                pipeline, detector, streaming_mode="rolling", lifecycle=PromoteAt(k), **kw
+            )
+            sd.threshold_ = -np.inf  # every window alerts: streaks count windows
+            verdicts = []
+            for rnd in rounds:
+                if micro_batched:
+                    verdicts += sd.ingest_many(rnd)
+                else:
+                    verdicts += [v for v in map(sd.ingest, rnd) if v is not None]
+            assert sd.detector is alt
+            return verdicts
+
+        sequential, batched = run(False), run(True)
+        _assert_parity(sequential, batched)
+        # Three nodes per due round; the promotion while observing window k
+        # resets every streak, so window k+1 (same batch) restarts from 1.
+        assert [v.streak for v in batched[:9]] == [1, 1, 1, 2, 2, 1, 1, 1, 2]
+        # ...and the new model scored them.
+        no_swap = StreamingDetector(pipeline, detector, streaming_mode="rolling", **kw)
+        baseline = [v for rnd in rounds for v in no_swap.ingest_many(rnd)]
+        assert [v.anomaly_score for v in baseline[:k]] == [
+            v.anomaly_score for v in batched[:k]
+        ]
+        assert all(
+            a.anomaly_score != b.anomaly_score for a, b in zip(baseline[k:], batched[k:])
         )
-        _assert_parity(batch, rolling)
-        assert sd.runtime_stats()["rolling"]["entropy_slab_reuses"] > 0
 
 
 class TestRollingValidation:
