@@ -32,10 +32,7 @@ Mirrors how operators would drive a deployment from the monitoring server:
 
 The train/predict/evaluate/runtime commands accept ``--workers`` /
 ``--cache-size`` (or the ``PRODIGY_WORKERS`` / ``PRODIGY_CACHE_SIZE``
-environment variables) to configure the shared extraction runtime, and
-streaming consumers (fleet, lifecycle) accept ``--streaming-mode
-batch|rolling`` (``PRODIGY_STREAMING_MODE``) to pick between the batch
-window recompute and rolling mode, which computes only the selected features.
+environment variables) to configure the shared extraction runtime.
 
 The CSV format is the LDMS-extract layout of :mod:`repro.telemetry.io`
 (index columns ``job_id, component_id, timestamp``, then metric columns);
@@ -86,11 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     runtime_opts.add_argument(
         "--cache-size", type=int, default=None,
         help="feature-cache entries, 0 disables (default: PRODIGY_CACHE_SIZE or 512)",
-    )
-    runtime_opts.add_argument(
-        "--streaming-mode", choices=["batch", "rolling"], default=None,
-        help="online feature path: batch recompute or rolling (selected "
-             "features only) (default: PRODIGY_STREAMING_MODE or batch)",
     )
 
     scenario_opts = argparse.ArgumentParser(add_help=False)
@@ -864,12 +856,7 @@ def _fleet_deployment(n_nodes: int, n_metrics: int, n_samples: int, seed: int):
                    rng.random((n_samples, n_metrics)), names)
         for c in range(n_nodes)
     ]
-    from repro.runtime.config import get_execution_config
-
-    # The rolling streaming path evaluates raw ring windows, so its
-    # deployment must not re-grid windows onto a resampled time axis.
-    resample = None if get_execution_config().streaming_mode == "rolling" else 32
-    engine = ParallelExtractor(FeatureExtractor(resample_points=resample))
+    engine = ParallelExtractor(FeatureExtractor(resample_points=32))
     features, feature_names = engine.extract_matrix(series)
     n_keep = min(48, features.shape[1])
     var = features.var(axis=0)
@@ -1220,7 +1207,6 @@ def main(argv: list[str] | None = None) -> int:
             config = ExecutionConfig.resolve(
                 n_workers=args.workers, cache_size=args.cache_size,
                 fleet_transport=getattr(args, "transport", None),
-                streaming_mode=getattr(args, "streaming_mode", None),
             )
         except ValueError as exc:
             print(f"repro-prodigy: error: {exc}", file=sys.stderr)

@@ -92,7 +92,11 @@ class Calculator:
                 f"calculator {self.name!r} returned shape {out.shape}, "
                 f"expected ({ctx.n}, {len(self.output_names)})"
             )
-        # Features must stay finite for the scaler/model stack.
+        # Features must stay finite for the scaler/model stack.  The check
+        # costs a fraction of the conversion; a finite output may alias the
+        # context's memo, so callers copy it and never write into it.
+        if np.isfinite(out).all():
+            return out
         return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
 
 
@@ -454,7 +458,8 @@ def _approximate_entropy(x, m: int = 2, r_factor: float = 0.2) -> np.ndarray:
     sample entropy over the same slab reuses the distance tensors for free.
     """
     profile = as_context(x).entropy_profile(m, r_factor)
-    return np.where(profile.valid, profile.phi_m - profile.phi_m1, 0.0)
+    with np.errstate(invalid="ignore"):  # NaN rows are masked out below
+        return np.where(profile.valid, profile.phi_m - profile.phi_m1, 0.0)
 
 
 def _sample_entropy(x, m: int = 2, r_factor: float = 0.2) -> np.ndarray:

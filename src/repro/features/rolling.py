@@ -1,17 +1,24 @@
 """Rolling-mode feature evaluation: only the selected cells, batch kernels.
 
-``streaming_mode="rolling"`` computes only the cells the fitted
-Chi-square selection keeps, not the full calculator set.  A
-:class:`RollingPlan` resolves every selected ``metric|feature`` name
-against one metric schema once, and :meth:`RollingPlan.evaluate` turns
-the due windows of that schema into their raw selected features: the
-windows' selected columns are stacked into one
-:class:`MetricBlockContext` (one row per window and column), each
-calculator the cells need runs once on it — the batch kernels the
-extractor uses — and the cells are gathered out of the concatenated
-outputs.  Every kernel is row-wise, so each cell equals batch mode's
-extraction of the same window exactly, NaN quirks included: both modes
-run the same kernels on the same rows.
+The online feature path computes only the cells the fitted Chi-square
+selection keeps, not the full calculator set.  A :class:`RollingPlan`
+resolves every selected ``metric|feature`` name against one metric schema
+once, and :meth:`RollingPlan.evaluate` turns the due windows of that
+schema into their raw selected features: it takes each window's selected
+columns — re-gridded with :meth:`NodeSeries.resample`, as
+``FeatureExtractor.stack`` does, when the extractor resamples; that
+interpolates column by column, so selecting first changes nothing —
+stacks them into one :class:`MetricBlockContext` (one row per window and
+column), runs each calculator the cells need once on it — the batch
+kernels the extractor uses — and gathers the cells out of the
+concatenated outputs.
+
+Each cell equals batch mode's extraction of the same window, NaN quirks
+included, with one exception: ``linear_trend``, ``benford_correlation``
+and ``fft_aggregated`` reduce a row with a float ``matrix @ vector``,
+which BLAS may sum differently depending on how many rows share the
+block, so their cells can move by a few ULPs when windows are grouped or
+stacked differently (DESIGN.md "Streaming engine").
 
 A plan holds no per-node or per-window state; features are a pure
 function of the windows passed in.
@@ -23,6 +30,8 @@ import numpy as np
 
 from repro.features.calculators import Calculator
 from repro.features.context import MetricBlockContext
+from repro.features.extraction import FeatureExtractor
+from repro.telemetry.frame import NodeSeries
 
 __all__ = ["RollingPlan"]
 
@@ -33,20 +42,23 @@ class RollingPlan:
     Maps every fitted ``metric|feature`` name onto the schema's metric
     column and owning calculator.  Nodes sharing a metric schema share one
     plan, and one :meth:`evaluate` call serves all of their due windows.
+    A schema lacking a metric the extractor pins raises the batch path's
+    ``KeyError`` here, before any window is scored.
     """
 
-    def __init__(self, pipeline, metric_names: tuple[str, ...]):
-        extractor = getattr(pipeline, "extractor", None)
-        selected = getattr(pipeline, "selected_names_", None)
-        if extractor is None or selected is None:
-            raise ValueError(
-                "rolling streaming mode needs a fitted DataPipeline "
-                "(extractor + selected feature names); use streaming_mode='batch' "
-                "for duck-typed pipelines"
-            )
+    def __init__(
+        self,
+        extractor: FeatureExtractor,
+        selected: tuple[str, ...],
+        metric_names: tuple[str, ...],
+    ):
         self.metric_names = tuple(metric_names)
         self.selected = tuple(selected)
+        self.resample_points = extractor.resample_points
         metric_pos = {m: i for i, m in enumerate(self.metric_names)}
+        missing = [m for m in extractor.metrics or () if m not in metric_pos]
+        if missing:  # the error batch extraction's select_metrics raises
+            raise KeyError(f"unknown metric {missing[0]!r}")
         allowed = set(extractor.metrics) if extractor.metrics is not None else None
 
         feature_map: dict[str, tuple[Calculator, int]] = {}
@@ -71,6 +83,7 @@ class RollingPlan:
         #: schema columns the context reads, ascending; a window's context
         #: row ``r`` is column ``columns[r]``
         self.columns = np.array(sorted({metric for _, metric, _, _ in cells}), dtype=np.intp)
+        self._column_names = tuple(self.metric_names[c] for c in self.columns)
         #: each calculator the cells need, once; their outputs are
         #: concatenated in this order
         self.calcs: list[Calculator] = []
@@ -93,16 +106,22 @@ class RollingPlan:
     def n_selected(self) -> int:
         return len(self.selected)
 
-    def evaluate(self, windows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def _window_columns(self, window: NodeSeries) -> np.ndarray:
+        """The plan's ``(T, C)`` columns of *window*, re-gridded like batch."""
+        if self.resample_points is None:
+            return window.values[:, self.columns]
+        return window.select_metrics(self._column_names).resample(self.resample_points).values
+
+    def evaluate(self, windows: list[NodeSeries]) -> tuple[np.ndarray, np.ndarray]:
         """Raw selected features ``(W, F)`` of *windows* plus the presence mask.
 
-        *windows* are ``(T, M)`` value arrays of this plan's schema, all of
-        one length ``T``.  Each calculator in :attr:`calcs` runs exactly
-        once, on one context over every window's selected columns.
+        *windows* share this plan's schema and one length after
+        resampling.  Each calculator in :attr:`calcs` runs exactly once, on
+        one context over every window's selected columns.
         """
         raw = np.zeros((len(windows), self.n_selected))
         if self.calcs:
-            rows = np.concatenate([w[:, self.columns].T for w in windows])
+            rows = np.concatenate([self._window_columns(w).T for w in windows])
             ctx = MetricBlockContext(rows)
             block = np.concatenate([calc(ctx) for calc in self.calcs], axis=1)
             raw[:, self.present] = block.reshape(len(windows), -1)[:, self._gather]

@@ -46,6 +46,19 @@ def ks_statistic(reference: np.ndarray, sample: np.ndarray) -> float:
     return float(np.abs(cdf_ref - cdf_smp).max())
 
 
+def _bin_counts(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.histogram(values, bins=edges)[0]`` for edges running -inf..+inf.
+
+    One ``searchsorted`` over the interior edges and one ``bincount``,
+    with ``np.histogram``'s rules: bins are closed on the left, the last
+    also on the right (+inf lands there), and NaN is not counted.
+    """
+    inner = edges[1:-1]
+    idx = np.searchsorted(inner, values, side="right")
+    idx[np.isnan(values)] = inner.size + 1  # NaN sorts past every edge
+    return np.bincount(idx, minlength=inner.size + 2)[: inner.size + 1]
+
+
 def psi(expected: np.ndarray, edges: np.ndarray, sample: np.ndarray) -> float:
     """Population Stability Index of *sample* against reference proportions.
 
@@ -56,12 +69,11 @@ def psi(expected: np.ndarray, edges: np.ndarray, sample: np.ndarray) -> float:
     sample = np.asarray(sample, dtype=np.float64)
     if sample.size == 0:
         return 0.0
-    counts, _ = np.histogram(sample, bins=edges)
-    actual = counts / sample.size
+    actual = _bin_counts(edges, sample) / sample.size
     floor = 1.0 / (_PSI_BINS * 100)
-    e = np.clip(np.asarray(expected, dtype=np.float64), floor, None)
-    a = np.clip(actual, floor, None)
-    return float(np.sum((a - e) * np.log(a / e)))
+    e = np.maximum(np.asarray(expected, dtype=np.float64), floor)
+    a = np.maximum(actual, floor)
+    return float(((a - e) * np.log(a / e)).sum())
 
 
 def _quantile_bins(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -69,8 +81,7 @@ def _quantile_bins(values: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndar
     qs = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1))
     edges = np.unique(qs[1:-1])
     edges = np.concatenate([[-np.inf], edges, [np.inf]])
-    counts, _ = np.histogram(values, bins=edges)
-    return edges, counts / max(values.size, 1)
+    return edges, _bin_counts(edges, values) / max(values.size, 1)
 
 
 @dataclass(frozen=True)

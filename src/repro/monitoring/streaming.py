@@ -15,26 +15,28 @@ Per-node telemetry lives in a :class:`~repro.features.ringbuffer.NodeRingBuffer`
 — one preallocated ``(capacity, M)`` block per node, trimmed to the window
 span on *every* ingest (bounded memory even for nodes whose windows never
 come due), with the evaluation window materialised as a slice instead of a
-list-of-chunks concatenation.  Two feature paths run on top of it:
+list-of-chunks concatenation.  Two feature paths run on top of it, and the
+detector works out which from the pipeline it is given:
 
-* ``streaming_mode="batch"`` (default) — recompute every calculator on the
-  materialised window through the pipeline's runtime engine
+* ``"rolling"`` — the production path, for every fitted
+  :class:`DataPipeline` (one with an ``extractor`` and ``selected_names_``),
+  resampling or not: compute only the fitted selection's cells
+  (:class:`~repro.features.rolling.RollingPlan`), the batch kernels of
+  just the selected calculators on one context over the due windows'
+  selected columns.
+* ``"batch"`` — recompute every calculator on the materialised window
+  through the pipeline's runtime engine
   (:class:`~repro.runtime.parallel.ParallelExtractor`), whose content-hash
-  cache memoises replayed windows.  This is the parity oracle.
-* ``streaming_mode="rolling"`` — compute only the fitted selection's
-  cells (:class:`~repro.features.rolling.RollingPlan`): the batch
-  kernels of just the selected calculators, on one context over the due
-  windows' selected columns.  Requires a fitted :class:`DataPipeline`
-  whose extractor does *not* resample (``resample_points=None``): the
-  cells are evaluated on the raw window, which a resampling extractor
-  would first re-grid.
+  cache memoises replayed windows.  This is the parity oracle, and the
+  path for duck-typed pipelines that only offer ``transform_series``.
 
-The mode defaults from :func:`~repro.runtime.config.get_execution_config`
-(``PRODIGY_STREAMING_MODE`` / ``--streaming-mode``), so fleet workers —
-including forked process-transport workers — inherit it with no plumbing.
-Both modes share calibration (batch-scored, so thresholds are identical)
-and verdict semantics: same stream in, same (score, alert, streak) out,
-exactly — both modes run the same kernels on the same rows.
+Either path can be forced with ``streaming_mode=`` on the constructor.
+Both share calibration, grouping and verdict semantics: same stream in,
+same (alert, streak) out, and the same scores — bit for bit, except in
+cells of the three kernels that reduce a row with a BLAS ``matrix @
+vector`` (``linear_trend``, ``benford_correlation``, ``fft_aggregated``),
+which can move by a few ULPs when windows are stacked differently (see
+:mod:`repro.features.rolling`).
 """
 
 from __future__ import annotations
@@ -48,10 +50,12 @@ from repro.core.prodigy import ProdigyDetector
 from repro.features.ringbuffer import NodeRingBuffer
 from repro.features.rolling import RollingPlan
 from repro.pipeline.datapipeline import DataPipeline
-from repro.runtime.config import STREAMING_MODES, get_execution_config
 from repro.telemetry.frame import NodeSeries
 
 __all__ = ["StreamVerdict", "StreamingDetector"]
+
+#: Feature paths :class:`StreamingDetector` can be forced onto.
+STREAMING_MODES = ("batch", "rolling")
 
 
 @dataclass(frozen=True)
@@ -104,8 +108,10 @@ class StreamingDetector:
         in place (streaks reset; the window threshold becomes the new
         model's run-level threshold until :meth:`calibrate` is re-run).
     streaming_mode:
-        ``"batch"`` or ``"rolling"`` (see the module docstring).  ``None``
-        (the default) takes the process execution config's mode.
+        ``None`` (the default) works the path out from *pipeline*:
+        ``"rolling"`` for a fitted :class:`DataPipeline`, ``"batch"`` for
+        a duck-typed one.  ``"batch"`` forces the oracle; ``"rolling"``
+        requires a fitted :class:`DataPipeline`.
     """
 
     def __init__(
@@ -125,12 +131,22 @@ class StreamingDetector:
             raise ValueError("evaluate_every must be >= 1")
         if consecutive_alerts < 1:
             raise ValueError("consecutive_alerts must be >= 1")
+        fitted = (
+            getattr(pipeline, "extractor", None) is not None
+            and getattr(pipeline, "selected_names_", None) is not None
+        )
         if streaming_mode is None:
-            streaming_mode = get_execution_config().streaming_mode
+            streaming_mode = "rolling" if fitted else "batch"
         if streaming_mode not in STREAMING_MODES:
             raise ValueError(
                 f"streaming_mode must be one of {STREAMING_MODES}, "
                 f"got {streaming_mode!r}"
+            )
+        if streaming_mode == "rolling" and not fitted:
+            raise ValueError(
+                "streaming_mode='rolling' needs a fitted DataPipeline "
+                "(extractor + selected feature names); duck-typed pipelines "
+                "run streaming_mode='batch'"
             )
         self.pipeline = pipeline
         self.detector = detector
@@ -139,22 +155,6 @@ class StreamingDetector:
         self.consecutive_alerts = int(consecutive_alerts)
         self.lifecycle = lifecycle
         self.streaming_mode = streaming_mode
-        if streaming_mode == "rolling":
-            extractor = getattr(pipeline, "extractor", None)
-            if extractor is None or getattr(pipeline, "selected_names_", None) is None:
-                raise ValueError(
-                    "streaming_mode='rolling' needs a fitted DataPipeline "
-                    "(extractor + selected feature names); duck-typed pipelines "
-                    "must use streaming_mode='batch'"
-                )
-            if extractor.resample_points is not None:
-                raise ValueError(
-                    "streaming_mode='rolling' requires an extractor with "
-                    "resample_points=None: rolling mode evaluates the selected "
-                    "cells on the raw ring window, which resampling would "
-                    "re-grid; fit the deployment without resampling or use "
-                    "streaming_mode='batch'"
-                )
         self._states: dict[tuple[int, int], _NodeState] = {}
         #: rolling evaluation plans shared across nodes with one schema
         self._plans: dict[tuple[str, ...], RollingPlan] = {}
@@ -179,13 +179,14 @@ class StreamingDetector:
         Sec. 3.3 — fixes that.
 
         Window bounds come from ``np.searchsorted`` over the (sorted)
-        timestamps — O(T log T) over a replayed series instead of the old
-        O(T²) boolean mask per step — and scoring always runs the batch
-        path, so both streaming modes calibrate to the identical threshold.
+        timestamps — O(T log T) over a replayed series instead of an O(T²)
+        boolean mask per step.  The windows are extracted through the same
+        grouped flow as :meth:`ingest_many` and each row is scored on its
+        own, so calibration runs the feature path the stream runs.
         """
-        scores: list[float] = []
+        windows: list[NodeSeries] = []
+        step = self.evaluate_every
         for series in healthy_series:
-            step = max(self.evaluate_every, 1)
             ts = series.timestamps
             for end in range(step, series.n_timestamps + 1, step):
                 start_t = ts[end - 1] - self.window_seconds
@@ -199,11 +200,14 @@ class StreamingDetector:
                     series.values[lo:end],
                     series.metric_names,
                 )
-                if window.duration < self.window_seconds * 0.5:
-                    continue
-                scores.append(self._score_window(window))
-        if not scores:
+                if window.duration >= self.window_seconds * 0.5:
+                    windows.append(window)
+        if not windows:
             raise ValueError("no healthy windows long enough to calibrate on")
+        scores = [
+            float(self.detector.anomaly_score(row)[0])
+            for row in self._group_features(windows)
+        ]
         self.threshold_ = float(np.percentile(scores, percentile))
         return self.threshold_
 
@@ -211,18 +215,10 @@ class StreamingDetector:
         """Feed a telemetry chunk for one node; returns a verdict when due.
 
         Chunks must arrive in time order per (job, node).  ``None`` means
-        "not enough new data yet".
+        "not enough new data yet".  This is :meth:`ingest_many` of one chunk.
         """
-        pending = self._buffer_chunk(chunk)
-        if pending is None:
-            return None
-        key, window = pending
-        if self.streaming_mode == "rolling":
-            features = self._rolling_features([window])
-            score = float(self.detector.anomaly_score(features)[0])
-        else:
-            features, score = self._evaluate_window(window)
-        return self._emit_verdict(key, window, features, score)
+        verdicts = self.ingest_many([chunk])
+        return verdicts[0] if verdicts else None
 
     def ingest_many(self, chunks: list[NodeSeries]) -> list[StreamVerdict]:
         """Micro-batched ingest: one verdict per due window, in chunk order.
@@ -234,10 +230,10 @@ class StreamingDetector:
         ``(N, T, M)`` block through the pipeline engine — so
         concurrently-reporting nodes share one context per group instead of
         one per window.  Verdicts (scoring, streaks, lifecycle observation)
-        are emitted sequentially in arrival order, exactly as repeated
-        :meth:`ingest` calls would; if a lifecycle promotion hot-swaps the
-        detector mid-batch, later windows in the same batch are scored by
-        the new model, matching sequential semantics (their
+        are emitted sequentially in arrival order, one detector call per
+        window, as one chunk per call would; if a lifecycle promotion
+        hot-swaps the detector mid-batch, later windows in the same batch
+        are scored by the new model, matching sequential semantics (their
         already-extracted features are model-independent).
         """
         pending = [p for p in map(self._buffer_chunk, chunks) if p is not None]
@@ -257,12 +253,16 @@ class StreamingDetector:
     def _group_features(self, windows: list[NodeSeries]) -> list[np.ndarray]:
         """One ``(1, F)`` feature row per window, extracted per group.
 
-        Without resampling, windows of different lengths cannot share one
-        stacked block: extraction runs once per (length, metric names)
-        group, in a deterministic first-seen order.
+        Windows share one stacked block when they share a metric schema
+        and a length after resampling: extraction runs once per (length,
+        metric names) group, in a deterministic first-seen order.  Batch
+        mode over a resampling extractor stacks every window in one
+        ``transform_series`` call instead.
         """
+        resample = None
         if self.streaming_mode == "rolling":
             extract = self._rolling_features
+            resample = self.pipeline.extractor.resample_points
         else:
             inst = self._instrumentation()
             if inst is not None:
@@ -276,7 +276,7 @@ class StreamingDetector:
 
         groups: dict[tuple, list[int]] = {}
         for i, w in enumerate(windows):
-            groups.setdefault((w.n_timestamps, w.metric_names), []).append(i)
+            groups.setdefault((resample or w.n_timestamps, w.metric_names), []).append(i)
         rows: list[np.ndarray] = [None] * len(windows)  # type: ignore[list-item]
         for idxs in groups.values():
             for i, row in zip(idxs, extract([windows[i] for i in idxs])):
@@ -366,34 +366,23 @@ class StreamingDetector:
         for state in self._states.values():
             state.streak = 0
 
-    def _score_window(self, window: NodeSeries) -> float:
-        """Extract (engine-cached) + select + scale + score one window."""
-        return self._evaluate_window(window)[1]
-
-    def _evaluate_window(self, window: NodeSeries):
-        """(feature rows, score) for one window — the row feeds lifecycle."""
-        inst = self._instrumentation()
-        if inst is not None:
-            inst.count("stream_evaluations", 1)
-        features = self.pipeline.transform_single(window)
-        return features, float(self.detector.anomaly_score(features)[0])
-
     def _rolling_features(self, windows: list[NodeSeries]) -> np.ndarray:
-        """Feature rows ``(W, F)`` of equal-length windows of one schema.
+        """Feature rows ``(W, F)`` of windows of one schema and resampled length.
 
         Raw selected values come from the schema's plan, which runs each
         of its calculators once for the whole group; the scale + mask step
         here mirrors ``transform_series_masked`` exactly (absent metrics
-        scale from 0 and are re-zeroed under the mask), so every row
-        matches the batch path bit-for-bit.
+        scale from 0 and are re-zeroed under the mask).
         """
         names = windows[0].metric_names
         plan = self._plans.get(names)
         if plan is None:
-            plan = self._plans[names] = RollingPlan(self.pipeline, names)
+            plan = self._plans[names] = RollingPlan(
+                self.pipeline.extractor, self.pipeline.selected_names_, names
+            )
         inst = self._instrumentation()
         with inst.stage("stream:rolling") if inst is not None else nullcontext():
-            raw, present = plan.evaluate([w.values for w in windows])
+            raw, present = plan.evaluate(windows)
             self._calc_runs += len(plan.calcs)
             if inst is not None:
                 inst.count("stream_evaluations", len(windows))

@@ -8,48 +8,49 @@ resolvable from three sources with a fixed precedence:
 
 so a CLI ``--workers 4``, a ``PRODIGY_WORKERS=4`` deployment environment,
 and a programmatic :func:`set_execution_config` all reach the same engine
-the same way.
+the same way.  Each field declares its environment variable and parser
+once, in its ``dataclasses.field`` metadata.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Mapping
 
 __all__ = [
     "ExecutionConfig",
     "FLEET_TRANSPORTS",
-    "STREAMING_MODES",
     "get_execution_config",
     "set_execution_config",
 ]
 
-ENV_WORKERS = "PRODIGY_WORKERS"
-ENV_CHUNK_SIZE = "PRODIGY_CHUNK_SIZE"
-ENV_CACHE_SIZE = "PRODIGY_CACHE_SIZE"
-ENV_INSTRUMENT = "PRODIGY_INSTRUMENT"
-ENV_FLEET_TRANSPORT = "PRODIGY_FLEET_TRANSPORT"
-ENV_GATEWAY_CACHE = "PRODIGY_GATEWAY_CACHE"
-ENV_STREAMING_MODE = "PRODIGY_STREAMING_MODE"
-
 #: Valid values of :attr:`ExecutionConfig.fleet_transport`.
 FLEET_TRANSPORTS = ("inline", "process")
-
-#: Valid values of :attr:`ExecutionConfig.streaming_mode`.
-STREAMING_MODES = ("batch", "rolling")
 
 _FALSY = {"0", "false", "no", "off", ""}
 
 
-def _env_int(env: Mapping[str, str], key: str) -> int | None:
-    raw = env.get(key)
-    if raw is None or raw.strip() == "":
+def _parse_int(key: str, raw: str) -> int | None:
+    if raw.strip() == "":
         return None
     try:
         return int(raw)
     except ValueError:
         raise ValueError(f"{key} must be an integer, got {raw!r}") from None
+
+
+def _parse_flag(key: str, raw: str) -> bool:
+    return raw.strip().lower() not in _FALSY
+
+
+def _parse_choice(key: str, raw: str) -> str | None:
+    return raw.strip().lower() or None
+
+
+def _knob(default, env: str, parse: Callable[[str, str], object]):
+    """A config field read from *env* through *parse* (``None`` = unset)."""
+    return field(default=default, metadata={"env": env, "parse": parse})
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,8 @@ class ExecutionConfig:
     instrument:
         Record per-stage timers/counters in the global
         :class:`~repro.runtime.instrumentation.Instrumentation` registry.
+        An environment value of ``0``/``false``/``no``/``off`` or blank
+        turns it off.
     fleet_transport:
         How the fleet coordinator runs its scoring workers: ``"inline"``
         (cooperatively scheduled on the coordinator thread — the parity
@@ -80,21 +83,14 @@ class ExecutionConfig:
         Response-cache entries kept by the serving gateway
         (:class:`~repro.serving.gateway.ResponseCache`); ``0`` disables
         response caching.
-    streaming_mode:
-        How :class:`~repro.monitoring.streaming.StreamingDetector`
-        computes evaluation-window features: ``"batch"`` (recompute every
-        calculator on the materialised window — the parity oracle) or
-        ``"rolling"`` (only the fitted selection's cells, computed by the
-        batch kernels on the per-node ring window).
     """
 
-    n_workers: int = 1
-    chunk_size: int = 0
-    cache_size: int = 512
-    instrument: bool = True
-    fleet_transport: str = "inline"
-    gateway_cache_size: int = 256
-    streaming_mode: str = "batch"
+    n_workers: int = _knob(1, "PRODIGY_WORKERS", _parse_int)
+    chunk_size: int = _knob(0, "PRODIGY_CHUNK_SIZE", _parse_int)
+    cache_size: int = _knob(512, "PRODIGY_CACHE_SIZE", _parse_int)
+    instrument: bool = _knob(True, "PRODIGY_INSTRUMENT", _parse_flag)
+    fleet_transport: str = _knob("inline", "PRODIGY_FLEET_TRANSPORT", _parse_choice)
+    gateway_cache_size: int = _knob(256, "PRODIGY_GATEWAY_CACHE", _parse_int)
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -112,65 +108,34 @@ class ExecutionConfig:
                 f"fleet_transport must be one of {FLEET_TRANSPORTS}, "
                 f"got {self.fleet_transport!r}"
             )
-        if self.streaming_mode not in STREAMING_MODES:
-            raise ValueError(
-                f"streaming_mode must be one of {STREAMING_MODES}, "
-                f"got {self.streaming_mode!r}"
-            )
 
     @classmethod
     def from_env(cls, env: Mapping[str, str] | None = None) -> "ExecutionConfig":
         """Config from ``PRODIGY_*`` variables over the built-in defaults."""
         env = os.environ if env is None else env
         kwargs = {}
-        for key, field_name in (
-            (ENV_WORKERS, "n_workers"),
-            (ENV_CHUNK_SIZE, "chunk_size"),
-            (ENV_CACHE_SIZE, "cache_size"),
-            (ENV_GATEWAY_CACHE, "gateway_cache_size"),
-        ):
-            value = _env_int(env, key)
-            if value is not None:
-                kwargs[field_name] = value
-        raw_instrument = env.get(ENV_INSTRUMENT)
-        if raw_instrument is not None:
-            kwargs["instrument"] = raw_instrument.strip().lower() not in _FALSY
-        raw_transport = env.get(ENV_FLEET_TRANSPORT)
-        if raw_transport is not None and raw_transport.strip() != "":
-            kwargs["fleet_transport"] = raw_transport.strip().lower()
-        raw_mode = env.get(ENV_STREAMING_MODE)
-        if raw_mode is not None and raw_mode.strip() != "":
-            kwargs["streaming_mode"] = raw_mode.strip().lower()
+        for f in fields(cls):
+            raw = env.get(f.metadata["env"])
+            if raw is not None:
+                value = f.metadata["parse"](f.metadata["env"], raw)
+                if value is not None:
+                    kwargs[f.name] = value
         return cls(**kwargs)
 
     @classmethod
     def resolve(
-        cls,
-        *,
-        n_workers: int | None = None,
-        chunk_size: int | None = None,
-        cache_size: int | None = None,
-        instrument: bool | None = None,
-        fleet_transport: str | None = None,
-        gateway_cache_size: int | None = None,
-        streaming_mode: str | None = None,
-        env: Mapping[str, str] | None = None,
+        cls, *, env: Mapping[str, str] | None = None, **explicit
     ) -> "ExecutionConfig":
-        """Merge explicit arguments over the environment over the defaults."""
+        """Merge explicit arguments over the environment over the defaults.
+
+        Keywords name fields; a ``None`` value defers to the environment.
+        """
+        names = {f.name for f in fields(cls)}
+        unknown = sorted(set(explicit) - names)
+        if unknown:
+            raise TypeError(f"unknown ExecutionConfig fields: {unknown}")
         config = cls.from_env(env)
-        overrides = {
-            name: value
-            for name, value in (
-                ("n_workers", n_workers),
-                ("chunk_size", chunk_size),
-                ("cache_size", cache_size),
-                ("instrument", instrument),
-                ("fleet_transport", fleet_transport),
-                ("gateway_cache_size", gateway_cache_size),
-                ("streaming_mode", streaming_mode),
-            )
-            if value is not None
-        }
+        overrides = {name: v for name, v in explicit.items() if v is not None}
         return replace(config, **overrides) if overrides else config
 
 

@@ -95,10 +95,6 @@ def _init_worker(spec) -> None:
     _WORKER_CALCULATORS = _calculators_from_spec(spec)
 
 
-def _compute_chunk(block_chunk: np.ndarray) -> np.ndarray:
-    return compute_block(_WORKER_CALCULATORS, block_chunk)
-
-
 def _compute_chunk_cols(block_chunk: np.ndarray, calc_indices: tuple[int, ...]) -> np.ndarray:
     return compute_block_columns(_WORKER_CALCULATORS, block_chunk, calc_indices)
 
@@ -405,7 +401,6 @@ class ParallelExtractor:
                 "cache_size": self.config.cache_size,
                 "instrument": self.config.instrument,
                 "fleet_transport": self.config.fleet_transport,
-                "streaming_mode": self.config.streaming_mode,
             },
             "scheduler": self._last_plan,
             "cache": self.cache.stats() if self.cache is not None else None,

@@ -13,6 +13,7 @@ Covers the PR's core contracts:
 """
 
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,11 @@ from repro.features.calculators import (
     full_calculators,
 )
 from repro.features.context import MetricBlockContext, as_context
-from repro.features.extraction import compute_block, compute_block_columns
+from repro.features.extraction import (
+    calculator_offsets,
+    compute_block,
+    compute_block_columns,
+)
 from repro.features.reference import reference_full_calculators
 from repro.monitoring import StreamingDetector
 from repro.runtime import ExecutionConfig, Instrumentation, ParallelExtractor
@@ -57,6 +62,11 @@ def _edge_batches():
 NEW_BY_NAME = {c.name: c for c in full_calculators()}
 REF_BY_NAME = {c.name: c for c in reference_full_calculators()}
 
+#: Kernels that reduce a row with a float ``matrix @ vector`` (``xc @ tc``,
+#: ``pc @ bc``, ``p @ freqs``): BLAS may add a row up differently depending
+#: on how many rows share the block.
+ROW_VARIANT = {"linear_trend", "benford_correlation", "fft_aggregated"}
+
 
 class TestCalculatorParity:
     def test_registries_align(self):
@@ -80,6 +90,41 @@ class TestCalculatorParity:
             assert np.array_equal(got, expected)
         else:
             np.testing.assert_allclose(got, expected, atol=1e-9, rtol=0)
+
+    def test_rows_invariant_to_block_height(self):
+        """A row's features are the same bits alone as inside a taller block.
+
+        The streaming paths stack windows differently (per window, per
+        group, per micro-batch), so this is what makes them agree exactly.
+        Only the known BLAS-reducing kernels may differ, by a few ULPs.
+        """
+        calcs = full_calculators()
+        offsets = calculator_offsets(calcs)
+        rng = np.random.default_rng(71)
+        differing = set()
+        for n, t in ((3, 8), (9, 40), (17, 97), (33, 64)):
+            block = rng.normal(size=(n, t)) * 10.0 ** rng.integers(-3, 7, size=(n, 1))
+            block[1, rng.random(t) < 0.2] = np.nan
+            block[2] = 4.5
+            tall = compute_block(calcs, block[:, :, None])
+            for i in range(n):
+                alone = compute_block(calcs, block[i : i + 1, :, None])[0]
+                for calc, (off, width) in zip(calcs, offsets):
+                    got, want = alone[off : off + width], tall[i, off : off + width]
+                    if not np.array_equal(got, want):
+                        differing.add(calc.name)
+                        np.testing.assert_allclose(
+                            got, want, rtol=1e-9, atol=1e-12, err_msg=calc.name
+                        )
+        assert differing <= ROW_VARIANT
+
+    def test_approximate_entropy_nan_row_is_quiet(self):
+        """NaN rows are masked to 0 without an invalid-value RuntimeWarning."""
+        data = _edge_batches()["nan_edge"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = NEW_BY_NAME["approximate_entropy"](data)
+        assert np.isfinite(got).all()
 
     def test_property_style_random_batches(self):
         """Many random shapes/scales: full-set parity holds everywhere."""

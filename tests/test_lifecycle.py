@@ -24,7 +24,7 @@ from repro.lifecycle import (
     ks_statistic,
     psi,
 )
-from repro.lifecycle.drift import _quantile_bins
+from repro.lifecycle.drift import _bin_counts, _quantile_bins
 from repro.pipeline import DataPipeline
 from repro.pipeline.modeltrainer import ModelTrainer
 
@@ -54,6 +54,28 @@ class TestStatistics:
         ref = rng.normal(size=2000)
         edges, props = _quantile_bins(ref, 10)
         assert psi(props, edges, ref + 3.0) > 1.0
+
+    def test_psi_bins_keep_histogram_rules(self):
+        """+inf lands in the last bin, -inf in the first; NaN is not counted."""
+        edges = np.array([-np.inf, -1.0, 0.0, 1.0, np.inf])
+        sample = np.array([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf, np.nan])
+        assert _bin_counts(edges, sample).tolist() == [1, 1, 2, 2]
+        assert _bin_counts(edges, sample).tolist() == np.histogram(sample, edges)[0].tolist()
+        # The NaN still counts in the sample size, as with np.histogram.
+        expected = np.array([0.25, 0.25, 0.25, 0.25])
+        actual = np.array([1, 1, 2, 2]) / sample.size
+        want = float(np.sum((actual - expected) * np.log(actual / expected)))
+        assert psi(expected, edges, sample) == want
+
+    def test_psi_bins_match_histogram_on_random_windows(self):
+        rng = np.random.default_rng(3)
+        for k in range(300):
+            edges, _ = _quantile_bins(rng.normal(size=200), int(rng.integers(4, 11)))
+            window = rng.normal(size=16) * rng.uniform(0.5, 3.0)
+            window[rng.integers(16)] = (np.inf, -np.inf, np.nan, edges[1])[k % 4]
+            assert np.array_equal(
+                _bin_counts(edges, window), np.histogram(window, bins=edges)[0]
+            )
 
 
 class TestReferenceProfile:

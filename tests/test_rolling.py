@@ -96,17 +96,20 @@ def _make_series(n_samples, names, job_id, comp, rng):
     )
 
 
-def _fit_deployment(series, n_features=40, calculators=None, prefer=None, names=None):
-    """Hand-fit a resample-free deployment over *series* (mixed schemas ok).
+def _fit_deployment(
+    series, n_features=40, calculators=None, prefer=None, names=None,
+    resample_points=None, metrics=None,
+):
+    """Hand-fit a deployment over *series* (mixed schemas ok).
 
-    ``prefer`` force-includes every feature whose name contains the given
-    substring, then fills the remaining budget by variance.  ``names``
-    instead pins the selection to exactly those ``metric|feature`` names.
+    Resample-free unless *resample_points* is given; *metrics* pins the
+    extractor's metric subset.  ``prefer`` force-includes every feature
+    whose name contains the given substring, then fills the remaining
+    budget by variance.  ``names`` instead pins the selection to exactly
+    those ``metric|feature`` names.
     """
-    extractor = (
-        FeatureExtractor(resample_points=None)
-        if calculators is None
-        else FeatureExtractor(resample_points=None, calculators=calculators)
+    extractor = FeatureExtractor(
+        calculators, resample_points=resample_points, metrics=metrics
     )
     engine = ParallelExtractor(
         extractor,
@@ -161,6 +164,32 @@ def _lockstep_rounds(series, rows=10):
         ]
         for i in range(0, series[0].n_timestamps, rows)
     ]
+
+
+def _interleave(per_node):
+    """One chunk of every node per round, as concurrent reporters arrive."""
+    return [
+        node[i]
+        for i in range(max(len(p) for p in per_node))
+        for node in per_node
+        if i < len(node)
+    ]
+
+
+#: Calculators that reduce a row with a float ``matrix @ vector``: BLAS may
+#: add a row up differently depending on how many rows share the block, so
+#: their cells can move by a few ULPs between the two paths.
+ROW_VARIANT_CALCS = ("linear_trend", "benford_correlation", "fft_aggregated")
+
+
+def _row_variant_cells(pipeline):
+    outputs = {
+        out
+        for calc in pipeline.extractor.calculators
+        if calc.name in ROW_VARIANT_CALCS
+        for out in calc.output_names
+    }
+    return [n for n in pipeline.selected_names_ if n.rpartition("|")[2] in outputs]
 
 
 def _verdict_tuples(verdicts):
@@ -491,16 +520,121 @@ class TestRollingParity:
             a.anomaly_score != b.anomaly_score for a, b in zip(baseline[k:], batched[k:])
         )
 
+    def test_row_variant_kernel_cells_within_bound(self):
+        """Trend, Benford and FFT cells on six metrics: the paths agree to 1e-9."""
+        rng = np.random.default_rng(67)
+        names = tuple(f"m{i}" for i in range(6))
+        series = [_make_series(260, names, 8, comp, rng) for comp in range(3)]
+        features = ("trend_slope", "trend_rvalue", "fft_centroid", "fft_entropy",
+                    "benford_correlation")
+        selected = [f"{m}|{f}" for m in names for f in features]
+        pipeline, detector = _fit_deployment(series, names=selected)
+        assert len(_row_variant_cells(pipeline)) == len(selected)
+        stream = _interleave([_random_chunks(s, np.random.default_rng(71)) for s in series])
+        kw = dict(window_seconds=60, evaluate_every=12, consecutive_alerts=2)
+        for micro_batch in (None, 8):
+            _, batch = _run_stream(pipeline, detector, stream, "batch",
+                                   micro_batch=micro_batch, **kw)
+            _, rolling = _run_stream(pipeline, detector, stream, "rolling",
+                                     micro_batch=micro_batch, **kw)
+            _assert_parity(batch, rolling, tol=1e-9)
+
+    @pytest.mark.parametrize("window_seconds, evaluate_every", [(60, 12), (40, 10), (90, 37)])
+    def test_calibrate_matches_batch_oracle(
+        self, rolling_deployment, window_seconds, evaluate_every
+    ):
+        """The plan calibrates to the batch oracle's threshold, bit for bit."""
+        pipeline, detector, series = rolling_deployment
+        kw = dict(window_seconds=window_seconds, evaluate_every=evaluate_every)
+        oracle = StreamingDetector(pipeline, detector, streaming_mode="batch", **kw)
+        plan = StreamingDetector(pipeline, detector, **kw)
+        assert plan.calibrate(series) == oracle.calibrate(series)
+        assert plan.runtime_stats()["rolling"]["fallback_calc_runs"] > 0
+
+
+#: Metrics the resampling deployment's extractor pins, out of m0..m5.
+PINNED = ("m0", "m2", "m3", "m5")
+
+
+@pytest.fixture(scope="module")
+def resampling_series():
+    rng = np.random.default_rng(53)
+    names = tuple(f"m{i}" for i in range(6))
+    return [_make_series(300, names, 5, comp, rng) for comp in range(3)]
+
+
+def _resampling_deployment(series, row_variant, resample_points=64):
+    """Pinned-metric deployment; *row_variant* adds trend/Benford/FFT cells."""
+    features = ("mean", "kurtosis", "quantile_q0.9", "cid_ce", "autocorrelation_lag2",
+                "number_peaks_1", "energy_chunk_3")
+    selected = [f"{m}|{f}" for m in ("m0", "m3", "m5") for f in features]
+    if row_variant:
+        selected += [
+            f"{m}|{f}" for m in ("m2", "m3")
+            for f in ("trend_slope", "trend_rvalue", "fft_centroid", "fft_variance",
+                      "benford_correlation")
+        ]
+    return _fit_deployment(
+        series, names=selected, resample_points=resample_points, metrics=PINNED
+    )
+
+
+class TestResamplingParity:
+    @pytest.mark.parametrize("row_variant, tol", [(False, 0.0), (True, 1e-9)])
+    def test_resampling_sweep(self, resampling_series, row_variant, tol):
+        """The plan re-grids the selected columns like the batch extractor."""
+        pipeline, detector = _resampling_deployment(resampling_series, row_variant)
+        assert bool(_row_variant_cells(pipeline)) == row_variant
+        stream = _interleave(
+            [_random_chunks(s, np.random.default_rng(59)) for s in resampling_series]
+        )
+        kw = dict(window_seconds=60, evaluate_every=12, consecutive_alerts=2)
+        for micro_batch in (None, 4):
+            _, batch = _run_stream(pipeline, detector, stream, "batch",
+                                   micro_batch=micro_batch, **kw)
+            sd, rolling = _run_stream(pipeline, detector, stream, None,
+                                      micro_batch=micro_batch, **kw)
+            assert sd.streaming_mode == "rolling"
+            _assert_parity(batch, rolling, tol)
+            # Only the selected columns of the pinned metrics are re-gridded.
+            plan = sd._plans[resampling_series[0].metric_names]
+            assert list(plan.columns) == ([0, 2, 3, 5] if row_variant else [0, 3, 5])
+
+    @pytest.mark.parametrize("resample_points", [None, 64])
+    def test_schema_missing_pinned_metric_raises_in_both_modes(
+        self, resampling_series, resample_points
+    ):
+        pipeline, detector = _resampling_deployment(
+            resampling_series, False, resample_points=resample_points
+        )
+        rng = np.random.default_rng(61)
+        lacking = _make_series(120, ("m0", "m1", "m3", "m5"), 6, 0, rng)  # no m2
+        chunks = _random_chunks(lacking, rng)
+        errors = {}
+        for mode in ("batch", "rolling"):
+            with pytest.raises(KeyError) as exc:
+                _run_stream(pipeline, detector, chunks, mode,
+                            window_seconds=60, evaluate_every=12)
+            errors[mode] = str(exc.value)
+        assert errors["batch"] == errors["rolling"] == repr("unknown metric 'm2'")
+
 
 class TestRollingValidation:
-    def test_rolling_mode_rejects_resampling_extractor(self, rolling_deployment):
-        pipeline, detector, series = rolling_deployment
-        resampled = DataPipeline(
-            ParallelExtractor(FeatureExtractor(resample_points=32)), n_features=8
-        )
-        resampled.selected_names_ = pipeline.selected_names_
-        with pytest.raises(ValueError, match="resample_points=None"):
-            StreamingDetector(resampled, detector, streaming_mode="rolling")
+    def test_default_mode_resolves_from_pipeline(self, rolling_deployment):
+        pipeline, detector, _ = rolling_deployment
+        fitted = StreamingDetector(pipeline, detector)
+        assert fitted.streaming_mode == "rolling"
+        assert fitted.runtime_stats()["streaming_mode"] == "rolling"
+        unfitted = DataPipeline(FeatureExtractor(resample_points=None))
+        assert StreamingDetector(unfitted, detector).streaming_mode == "batch"
+
+        class Duck:
+            def transform_series(self, windows):
+                return np.zeros((len(windows), 4))
+
+        duck = StreamingDetector(Duck(), detector)
+        assert duck.streaming_mode == "batch"
+        assert duck.runtime_stats()["streaming_mode"] == "batch"
 
     def test_rolling_mode_rejects_duck_typed_pipeline(self, rolling_deployment):
         _, detector, _ = rolling_deployment
@@ -516,14 +650,3 @@ class TestRollingValidation:
         pipeline, detector, _ = rolling_deployment
         with pytest.raises(ValueError, match="streaming_mode"):
             StreamingDetector(pipeline, detector, streaming_mode="surely-not")
-
-    def test_mode_defaults_from_execution_config(self, rolling_deployment):
-        pipeline, detector, _ = rolling_deployment
-        from repro.runtime import set_execution_config
-
-        set_execution_config(ExecutionConfig(streaming_mode="rolling"))
-        try:
-            sd = StreamingDetector(pipeline, detector)
-            assert sd.streaming_mode == "rolling"
-        finally:
-            set_execution_config(None)

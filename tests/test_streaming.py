@@ -177,8 +177,9 @@ class TestStreamingDetector:
         new_threshold = stream.calibrate([healthy])
 
         # The pre-searchsorted implementation, inlined: one boolean age mask
-        # over the whole prefix per step.
-        scores = []
+        # over the whole prefix per step.  Its windows are scored through
+        # the extraction calibrate uses, one detector call per window.
+        windows = []
         step = stream.evaluate_every
         ts = healthy.timestamps
         for end in range(step, healthy.n_timestamps + 1, step):
@@ -191,7 +192,10 @@ class TestStreamingDetector:
             )
             if window.duration < stream.window_seconds * 0.5:
                 continue
-            scores.append(stream._score_window(window))
+            windows.append(window)
+        scores = [
+            float(det.anomaly_score(row)[0]) for row in stream._group_features(windows)
+        ]
         assert new_threshold == float(np.percentile(scores, 99.0))
 
 
@@ -207,6 +211,9 @@ class _EnginePipeline:
 
     def transform_single(self, window: NodeSeries) -> np.ndarray:
         return self.engine.extract_single(window)
+
+    def transform_series(self, windows) -> np.ndarray:
+        return self.engine.extract_matrix(list(windows))[0]
 
 
 class _ScriptedDetector:
