@@ -888,7 +888,7 @@ def _explain_workload():
 def run_training_check() -> dict:
     from repro.core.vae import VAE
     from repro.explain.comte import OptimizedSearch
-    from repro.explain.evaluators import FeatureSpaceEvaluator
+    from repro.explain.evaluators import series_classifier
     from repro.nn.reference import ReferenceVAETrainer
 
     cfg = VAE_BENCH
@@ -939,46 +939,26 @@ def run_training_check() -> dict:
     # -- CoMTE: batched + memoised search vs per-candidate evaluation ------
     pipeline, detector, healthy, anomalous = _explain_workload()
     distractors = healthy[:8]
-
-    def serial_classifier(series):
-        return detector.predict_proba(pipeline.transform_single(series))[0]
-
-    def batch_classifier(series):
-        return detector.predict_proba(pipeline.transform_single(series))[0]
-
-    batch_classifier.classify_batch = lambda many: detector.predict_proba(
-        pipeline.transform_series(many)
-    )
+    classifier = series_classifier(pipeline, detector)
 
     def run_serial():
         search = OptimizedSearch(
-            serial_classifier, distractors, max_metrics=5,
+            classifier, distractors, max_metrics=5,
             memoize=False, batched=False,
         )
         return [search.explain(s) for s in anomalous]
 
     def run_batched_series():
-        search = OptimizedSearch(batch_classifier, distractors, max_metrics=5)
+        search = OptimizedSearch(classifier, distractors, max_metrics=5)
         return [search.explain(s) for s in anomalous]
-
-    def run_batched_features():
-        evaluator = FeatureSpaceEvaluator(pipeline, detector)
-        return [
-            OptimizedSearch(evaluator, distractors, max_metrics=5).explain(s)
-            for s in anomalous
-        ]
 
     try:
         cfs_serial = run_serial()
         cfs_series = run_batched_series()
-        cfs_features = run_batched_features()
         identical = all(
-            set(a.metrics) == set(b.metrics) == set(c.metrics)
-            for a, b, c in zip(cfs_serial, cfs_series, cfs_features)
+            set(a.metrics) == set(b.metrics) for a, b in zip(cfs_serial, cfs_series)
         )
-        serial_s, series_s, features_s = _interleaved_best(
-            [run_serial, run_batched_series, run_batched_features], reps=3
-        )
+        serial_s, series_s = _interleaved_best([run_serial, run_batched_series], reps=3)
         result["explain"] = {
             "workload": {
                 "n_anomalous": len(anomalous),
@@ -988,9 +968,7 @@ def run_training_check() -> dict:
             },
             "per_candidate_seconds": serial_s,
             "batched_series_seconds": series_s,
-            "batched_features_seconds": features_s,
             "speedup_batched_series": serial_s / series_s,
-            "speedup_batched_features": serial_s / features_s,
             "identical_metric_sets": bool(identical),
             "serial_evaluations": sum(c.n_evaluations for c in cfs_serial),
             "batched_true_evaluations": sum(c.n_evaluations for c in cfs_series),
@@ -1604,8 +1582,7 @@ def summarise_training(r: dict) -> str:
     return (
         f"VAE fit {r['training']['speedup_vs_reference']:.2f}x vs reference "
         f"(bit-identical weights {r['training']['weights_bit_identical']}); "
-        f"CoMTE {r['explain']['speedup_batched_series']:.1f}x series-batched / "
-        f"{r['explain']['speedup_batched_features']:.1f}x feature-space "
+        f"CoMTE {r['explain']['speedup_batched_series']:.1f}x series-batched "
         f"vs per-candidate (identical metric sets "
         f"{r['explain']['identical_metric_sets']})"
     )

@@ -57,7 +57,6 @@ TRACKED_METRICS = {
     "BENCH_training.json": (
         "training.fast_seconds",
         "explain.batched_series_seconds",
-        "explain.batched_features_seconds",
     ),
     "BENCH_scenarios.json": (
         "simulate.seconds",

@@ -5,8 +5,9 @@ Trains a Prodigy deployment on a memleak campaign, then asks: *why was this
 node flagged?*  CoMTE answers with the minimal set of metrics that — if
 they had looked like a healthy run's — would have flipped the prediction.
 
-Both search strategies are demonstrated, using the fast feature-space
-evaluator (substituting a metric only re-extracts that metric's features).
+Both search strategies are demonstrated over the deployment's series
+classifier, whose transform computes only the selected feature cells of
+each substituted series.
 
 Usage::
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 from repro.anomalies import MemLeak
 from repro.core import ProdigyDetector
 from repro.experiments.datasets import CampaignSpec, extract_dataset, run_campaign
-from repro.explain import BruteForceSearch, FeatureSpaceEvaluator, OptimizedSearch
+from repro.explain import BruteForceSearch, OptimizedSearch, series_classifier
 from repro.features import FeatureExtractor
 from repro.pipeline import DataPipeline
 from repro.workloads import ECLIPSE, ECLIPSE_APPS
@@ -54,7 +55,7 @@ def main() -> None:
     detector.fit(transformed.features, transformed.labels)
 
     # CoMTE setup: healthy training series are the distractor pool.
-    evaluator = FeatureSpaceEvaluator(pipeline, detector)
+    classifier = series_classifier(pipeline, detector)
     distractors = [r.series for r in runs if r.label == 0][:20]
     anomalous = [r for r in runs if r.label == 1][:2]
 
@@ -71,12 +72,12 @@ def main() -> None:
         if not pred:
             continue
 
-        greedy = OptimizedSearch(evaluator, distractors, max_metrics=5)
+        greedy = OptimizedSearch(classifier, distractors, max_metrics=5)
         cf = greedy.explain(run.series)
         print(f"  OptimizedSearch:  {cf.summary()}")
         print(f"                    ({cf.n_evaluations} model evaluations)")
 
-        brute = BruteForceSearch(evaluator, distractors, max_metrics=2, shortlist_size=8)
+        brute = BruteForceSearch(classifier, distractors, max_metrics=2, shortlist_size=8)
         cf = brute.explain(run.series)
         print(f"  BruteForceSearch: {cf.summary()}")
         print(f"                    ({cf.n_evaluations} model evaluations)")

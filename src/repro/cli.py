@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -598,7 +599,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     """CoMTE counterfactual for one node-run of a job."""
     from repro.explain.comte import OptimizedSearch
-    from repro.explain.evaluators import FeatureSpaceEvaluator
+    from repro.explain.evaluators import series_classifier
 
     scenario = _scenario_from(args)
     if scenario is _SCENARIO_ERROR:
@@ -630,8 +631,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print("error: no predicted-healthy runs in the telemetry to use as "
               "distractors", file=sys.stderr)
         return 2
-    evaluator = FeatureSpaceEvaluator(prodigy.pipeline, prodigy.detector)
-    search = OptimizedSearch(evaluator, healthy, max_metrics=args.max_metrics)
+    search = OptimizedSearch(
+        series_classifier(prodigy.pipeline, prodigy.detector), healthy,
+        max_metrics=args.max_metrics,
+    )
     cf = search.explain(sample)
     if args.json:
         print(json.dumps({
@@ -712,8 +715,8 @@ def cmd_runtime(args: argparse.Namespace) -> int:
     cfg = stats["config"]
     sections = [(
         "runtime config",
-        ["n_workers", "chunk_size", "cache_size", "instrument"],
-        [[cfg["n_workers"], cfg["chunk_size"], cfg["cache_size"], cfg["instrument"]]],
+        ["n_workers", "cache_size", "instrument"],
+        [[cfg["n_workers"], cfg["cache_size"], cfg["instrument"]]],
     )]
     plan = stats.get("scheduler")
     if plan is not None:
@@ -1213,7 +1216,15 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         set_execution_config(config)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``| head``): stop like a tool killed by
+        # SIGPIPE, with stdout on /dev/null so the interpreter's final
+        # flush of what is still buffered cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (FileNotFoundError, NotADirectoryError) as exc:
         # Missing artifact/registry/telemetry paths are operator errors, not
         # crashes: one line on stderr, exit 2, no traceback.

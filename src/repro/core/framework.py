@@ -169,7 +169,7 @@ class Prodigy:
         if not self._healthy_references:
             raise RuntimeError("no healthy reference series retained from fit()")
         from repro.explain.comte import OptimizedSearch
-        from repro.explain.evaluators import FeatureSpaceEvaluator
+        from repro.explain.evaluators import series_classifier
 
         # CoMTE substitutes whole metric series between the flagged run and
         # a reference, so references must share the run's column layout —
@@ -184,9 +184,10 @@ class Prodigy:
                 "no healthy reference series share the flagged run's metric "
                 "schema; cannot build a counterfactual across schemas"
             )
-        evaluator = FeatureSpaceEvaluator(self.pipeline, self.detector)
         search = OptimizedSearch(
-            evaluator, references, max_metrics=max_metrics
+            series_classifier(self.pipeline, self.detector),
+            references,
+            max_metrics=max_metrics,
         )
         # The search itself records the ``explain`` stage.
         return search.explain(series)

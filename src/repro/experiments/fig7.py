@@ -20,7 +20,7 @@ from repro.core.prodigy import ProdigyDetector
 from repro.experiments.datasets import CampaignSpec, extract_dataset, run_campaign
 from repro.experiments.protocol import ProtocolConfig
 from repro.explain.comte import BruteForceSearch, OptimizedSearch
-from repro.explain.evaluators import FeatureSpaceEvaluator
+from repro.explain.evaluators import series_classifier
 from repro.explain.explanation import Counterfactual
 from repro.pipeline.datapipeline import DataPipeline
 from repro.features.extraction import FeatureExtractor
@@ -134,14 +134,14 @@ def run_fig7(
     )
     detector.fit(transformed.features, transformed.labels)
 
-    evaluator = FeatureSpaceEvaluator(pipeline, detector)
+    classifier = series_classifier(pipeline, detector)
     healthy_refs = [r.series for r in runs if r.label == 0][:20]
     anomalous_runs = [r for r in runs if r.label == 1]
     if not anomalous_runs:
         raise RuntimeError("campaign produced no anomalous runs")
 
     search_cls = {"optimized": OptimizedSearch, "brute_force": BruteForceSearch}[search]
-    searcher = search_cls(evaluator, healthy_refs, max_metrics=5)
+    searcher = search_cls(classifier, healthy_refs, max_metrics=5)
 
     explanations = []
     predictions: dict[int, int] = {}

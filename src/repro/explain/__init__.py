@@ -1,14 +1,14 @@
 """CoMTE counterfactual explainability (paper Sec. 4.4)."""
 
 from repro.explain.comte import BruteForceSearch, OptimizedSearch, substitute_metrics
-from repro.explain.evaluators import ClassifierEvaluator, FeatureSpaceEvaluator
+from repro.explain.evaluators import ClassifierEvaluator, series_classifier
 from repro.explain.explanation import Counterfactual
 
 __all__ = [
     "BruteForceSearch",
     "ClassifierEvaluator",
     "Counterfactual",
-    "FeatureSpaceEvaluator",
     "OptimizedSearch",
+    "series_classifier",
     "substitute_metrics",
 ]

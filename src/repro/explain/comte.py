@@ -201,8 +201,7 @@ class _SearchBase:
         Distractors are reused across samples and search rounds; resampling
         each one on every ranking call was pure rework.  The cache holds a
         reference to the resampled copy, so its identity (and therefore the
-        evaluators' id-keyed feature caches) stays stable for the search's
-        lifetime.
+        id-keyed memo) stays stable for the search's lifetime.
         """
         if distractor.n_timestamps == n_timestamps:
             return distractor
@@ -232,8 +231,8 @@ class _SearchBase:
     def _candidate_metrics(self, sample: NodeSeries) -> tuple[str, ...]:
         """Metrics eligible for substitution.
 
-        A feature-space evaluator may model only a metric subset (its
-        extraction layout); only those metrics can influence the prediction.
+        An evaluator may model only a metric subset (the metrics its
+        extractor pins); only those metrics can influence the prediction.
         """
         layout = getattr(self.evaluator, "candidate_metrics", None)
         if layout:

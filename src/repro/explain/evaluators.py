@@ -1,51 +1,59 @@
-"""Substitution evaluators for CoMTE.
+"""Substitution evaluation for CoMTE.
 
 The search loops of :mod:`repro.explain.comte` need ``P(anomalous)`` for
-hundreds of metric-substituted variants of one sample.  Two strategies:
+hundreds of metric-substituted variants of one sample.
+:class:`ClassifierEvaluator` materialises each substituted series and
+runs the classifier on it; ``p_anomalous_batch`` hands a whole search
+round to the classifier's ``classify_batch`` in one dispatch.
 
-* :class:`ClassifierEvaluator` — reference implementation: materialise the
-  substituted series and run the full classifier.  O(M) feature extraction
-  per candidate.
-* :class:`FeatureSpaceEvaluator` — exploits that substituting metric *m*
-  only changes the feature block of metric *m*: cache the sample's and
-  each distractor's full feature row once (per-metric kernels are
-  row-independent, so a metric's block is just a slice of the full row),
-  then a candidate evaluation is a row patch + selection + scaling + one
-  VAE forward.  Identical results for same-length series up to resampling
-  round-off, at ~1/M the cost.
-
-Both evaluators also expose ``p_anomalous_batch``: the batched CoMTE
-search hands a whole round of candidate metric sets here and gets all
-probabilities from one classifier dispatch — one stacked
-select/scale/``predict_proba`` for the feature-space path, one
-``classify_batch`` call (when the classifier provides it) for the
-series path.
-
-:class:`FeatureSpaceEvaluator` routes all extraction through the
-pipeline's runtime engine, sharing its content-hash feature cache —
-CoMTE's search re-touches the same series constantly, which is exactly
-the access pattern the cache memoises.
+:func:`series_classifier` is that classifier for a fitted deployment:
+the pipeline's transform computes only the selected cells (the
+selected-feature plan), so scoring a substituted series costs those
+cells and one detector forward.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.explain.comte import SeriesClassifier, substitute_metrics
-from repro.features.extraction import FeatureExtractor
-from repro.runtime.parallel import ParallelExtractor
 from repro.telemetry.frame import NodeSeries
 
-__all__ = ["ClassifierEvaluator", "FeatureSpaceEvaluator"]
+__all__ = ["ClassifierEvaluator", "series_classifier"]
+
+
+def series_classifier(pipeline, detector) -> SeriesClassifier:
+    """CoMTE's classifier over a fitted pipeline and detector.
+
+    Scores one series as ``detector.predict_proba`` of
+    ``pipeline.transform_single``; its ``classify_batch`` scores a list
+    through one ``pipeline.transform_series`` call, and its
+    ``candidate_metrics`` are the metrics the extractor pins (``None``:
+    every metric of the sample).
+    """
+
+    def classify(series: NodeSeries) -> np.ndarray:
+        return detector.predict_proba(pipeline.transform_single(series))[0]
+
+    classify.classify_batch = lambda many: detector.predict_proba(
+        pipeline.transform_series(many)
+    )
+    classify.candidate_metrics = pipeline.extractor.metrics
+    return classify
 
 
 class ClassifierEvaluator:
-    """Evaluate candidates by rebuilding the substituted series."""
+    """Evaluate candidates by rebuilding the substituted series.
+
+    A classifier's ``candidate_metrics`` attribute, when set, limits the
+    search to those metrics (the only ones its features read).
+    """
 
     def __init__(self, classifier: SeriesClassifier):
         self.classifier = classifier
+        self.candidate_metrics = getattr(classifier, "candidate_metrics", None)
 
     def p_anomalous(
         self,
@@ -71,8 +79,8 @@ class ClassifierEvaluator:
 
         Uses the classifier's ``classify_batch`` attribute (one dispatch over
         all materialised series) when present — e.g. the callable from
-        :meth:`~repro.pipeline.detector_service.AnomalyDetectorService.as_series_classifier`
-        — and falls back to a per-candidate loop otherwise.
+        :func:`series_classifier` — and falls back to a per-candidate loop
+        otherwise.
         """
         metric_sets = list(metric_sets)
         if not metric_sets:
@@ -92,138 +100,3 @@ class ClassifierEvaluator:
         if proba.ndim != 2 or proba.shape[1] != 2:
             raise ValueError("classify_batch must return an (n, 2) probability array")
         return proba[:, 1]
-
-
-class FeatureSpaceEvaluator:
-    """Incremental candidate evaluation in feature space.
-
-    Parameters
-    ----------
-    pipeline:
-        A fitted :class:`repro.pipeline.DataPipeline` (provides the
-        extractor, selection, and scaler).
-    detector:
-        A fitted detector exposing ``predict_proba``.
-    """
-
-    def __init__(self, pipeline, detector):
-        self.pipeline = pipeline
-        self.detector = detector
-        self.extractor: FeatureExtractor = pipeline.extractor
-        self.engine: ParallelExtractor = getattr(pipeline, "engine", None) or ParallelExtractor(
-            pipeline.extractor
-        )
-        self._sample_rows: dict[int, tuple[np.ndarray, tuple[str, ...]]] = {}
-
-    @property
-    def candidate_metrics(self) -> tuple[str, ...] | None:
-        """The metric subset this evaluator models (None = all of the sample)."""
-        return self.extractor.metrics
-
-    # -- caches ---------------------------------------------------------------
-
-    def _full_row(self, series: NodeSeries) -> tuple[np.ndarray, tuple[str, ...]]:
-        key = id(series)
-        if key not in self._sample_rows:
-            features, names = self.engine.extract_matrix([series])
-            self._sample_rows[key] = (features[0], names)
-        return self._sample_rows[key]
-
-    def _metric_block(self, series: NodeSeries, metric: str) -> np.ndarray:
-        """Feature block of *metric* — a read-only view into the series' row.
-
-        Per-metric feature kernels are row-independent, so a metric's block
-        is exactly the corresponding slice of the full extracted row; one
-        full-row dispatch per distractor replaces the old one-dispatch-per-
-        (distractor, metric) path.
-        """
-        row, _ = self._full_row(series)
-        f_per = self.extractor.n_features_per_metric
-        metric_order = (
-            self.extractor.metrics
-            if self.extractor.metrics is not None
-            else series.metric_names
-        )
-        pos = {m: i for i, m in enumerate(metric_order)}
-        try:
-            m_idx = pos[metric]
-        except KeyError:
-            raise KeyError(f"metric {metric!r} not in extraction layout") from None
-        return row[m_idx * f_per : (m_idx + 1) * f_per]
-
-    # -- evaluation ---------------------------------------------------------------
-
-    def _patch_row(
-        self,
-        row: np.ndarray,
-        sample: NodeSeries,
-        distractor: NodeSeries,
-        metrics: Sequence[str],
-    ) -> None:
-        """Overwrite *row*'s blocks for *metrics* with the distractor's."""
-        f_per = self.extractor.n_features_per_metric
-        metric_order = (
-            self.extractor.metrics
-            if self.extractor.metrics is not None
-            else sample.metric_names
-        )
-        pos = {m: i for i, m in enumerate(metric_order)}
-        for metric in metrics:
-            try:
-                m_idx = pos[metric]
-            except KeyError:
-                raise KeyError(f"metric {metric!r} not in extraction layout") from None
-            row[m_idx * f_per : (m_idx + 1) * f_per] = self._metric_block(
-                distractor, metric
-            )
-
-    def p_anomalous(
-        self,
-        sample: NodeSeries,
-        distractor: NodeSeries | None,
-        metrics: Sequence[str],
-    ) -> float:
-        row, names = self._full_row(sample)
-        if distractor is not None and metrics:
-            row = row.copy()
-            self._patch_row(row, sample, distractor, metrics)
-        scaled = self._select_scale(row[None, :], names)
-        return float(self.detector.predict_proba(scaled)[0, 1])
-
-    def p_anomalous_batch(
-        self,
-        sample: NodeSeries,
-        distractor: NodeSeries | None,
-        metric_sets: Sequence[Sequence[str]],
-    ) -> np.ndarray:
-        """P(anomalous) for many substitution candidates against one distractor.
-
-        Builds all patched feature rows, then runs one stacked
-        select/scale/``predict_proba`` — a whole CoMTE search round costs a
-        single detector forward instead of one per candidate.
-        """
-        metric_sets = list(metric_sets)
-        if not metric_sets:
-            return np.empty(0)
-        row, names = self._full_row(sample)
-        rows = np.repeat(row[None, :], len(metric_sets), axis=0)
-        for patched, metrics in zip(rows, metric_sets):
-            if distractor is not None and metrics:
-                self._patch_row(patched, sample, distractor, metrics)
-        scaled = self._select_scale(rows, names)
-        return np.asarray(self.detector.predict_proba(scaled)[:, 1], dtype=np.float64)
-
-    def _select_scale(self, features: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-        pipe = self.pipeline
-        pos = {n: i for i, n in enumerate(names)}
-        idx = [pos[n] for n in pipe.selected_names_]
-        return pipe.scaler_.transform(features[:, idx])
-
-    def as_classifier(self) -> Callable[[NodeSeries], np.ndarray]:
-        """Adapter matching the plain :data:`SeriesClassifier` signature."""
-
-        def classify(series: NodeSeries) -> np.ndarray:
-            p = self.p_anomalous(series, None, ())
-            return np.array([1.0 - p, p])
-
-        return classify

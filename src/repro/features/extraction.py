@@ -136,9 +136,10 @@ class FeatureExtractor:
         self.per_metric_names = calculator_names(self.calculators)
         self.resample_points = resample_points
         self.metrics = tuple(metrics) if metrics is not None else None
-        # Layout cache for the online path: extract_single is called once per
-        # node window, and rebuilding the K*F name tuple (thousands of string
-        # formats) per call dwarfed the actual NumPy work.
+        # Layout cache: every full extraction (fit, the full-extraction
+        # oracle per group, the runtime engine) names its K*F columns, and
+        # rebuilding that tuple (thousands of string formats) per call can
+        # dwarf the NumPy work of a small batch.
         self._names_cache: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     # -- names -----------------------------------------------------------------
@@ -146,8 +147,8 @@ class FeatureExtractor:
     def feature_names(self, metric_names: Sequence[str]) -> tuple[str, ...]:
         """Full feature-name layout for *metric_names* (metric-major order).
 
-        Memoised per metric-name tuple; callers on the online path hit the
-        cache on every window after the first.
+        Memoised per metric-name tuple; repeated extractions over one
+        schema hit the cache after the first.
         """
         key = tuple(metric_names)
         names = self._names_cache.get(key)

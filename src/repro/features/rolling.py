@@ -1,27 +1,29 @@
-"""Rolling-mode feature evaluation: only the selected cells, batch kernels.
+"""The selected-feature plan: only the selected cells, batch kernels.
 
-The online feature path computes only the cells the fitted Chi-square
-selection keeps, not the full calculator set.  A :class:`RollingPlan`
-resolves every selected ``metric|feature`` name against one metric schema
-once, and :meth:`RollingPlan.evaluate` turns the due windows of that
-schema into their raw selected features: it takes each window's selected
-columns — re-gridded with :meth:`NodeSeries.resample`, as
-``FeatureExtractor.stack`` does, when the extractor resamples; that
-interpolates column by column, so selecting first changes nothing —
-stacks them into one :class:`MetricBlockContext` (one row per window and
-column), runs each calculator the cells need once on it — the batch
-kernels the extractor uses — and gathers the cells out of the
-concatenated outputs.
+Every fitted transform computes only the cells the fitted Chi-square
+selection keeps, not the full calculator set: ``DataPipeline``'s
+transforms and, through them, the streaming engine.  A
+:class:`RollingPlan` resolves every selected ``metric|feature`` name
+against one metric schema once, and :meth:`RollingPlan.evaluate` turns
+series of that schema and one length after resampling into their raw
+selected features: it takes each series' selected columns — re-gridded
+with :func:`~repro.telemetry.frame.resample_uniform`, the arithmetic of
+the :meth:`NodeSeries.resample` that ``FeatureExtractor.stack`` applies,
+when the extractor resamples; that interpolates column by column, so
+selecting first changes nothing — stacks them into one
+:class:`MetricBlockContext` (one row per series and column), runs each
+calculator the cells need once on it — the batch kernels the extractor
+uses — and gathers the cells out of the concatenated outputs.
 
-Each cell equals batch mode's extraction of the same window, NaN quirks
-included, with one exception: ``linear_trend``, ``benford_correlation``
-and ``fft_aggregated`` reduce a row with a float ``matrix @ vector``,
-which BLAS may sum differently depending on how many rows share the
-block, so their cells can move by a few ULPs when windows are grouped or
-stacked differently (DESIGN.md "Streaming engine").
+Each cell equals full extraction of the same series, NaN quirks included,
+with one exception: ``linear_trend``, ``benford_correlation`` and
+``fft_aggregated`` reduce a row with a float ``matrix @ vector``, which
+BLAS may sum differently depending on how many rows share the block, so
+their cells can move by a few ULPs when series are grouped or stacked
+differently (DESIGN.md "Streaming engine").
 
-A plan holds no per-node or per-window state; features are a pure
-function of the windows passed in.
+A plan holds no per-node or per-series state; features are a pure
+function of the series passed in.
 """
 
 from __future__ import annotations
@@ -31,19 +33,20 @@ import numpy as np
 from repro.features.calculators import Calculator
 from repro.features.context import MetricBlockContext
 from repro.features.extraction import FeatureExtractor
-from repro.telemetry.frame import NodeSeries
+from repro.telemetry.frame import NodeSeries, resample_uniform
 
 __all__ = ["RollingPlan"]
 
 
 class RollingPlan:
-    """Selected-feature layout resolved once per (pipeline, metric schema).
+    """Selected-feature layout resolved once per (selection, metric schema).
 
     Maps every fitted ``metric|feature`` name onto the schema's metric
     column and owning calculator.  Nodes sharing a metric schema share one
-    plan, and one :meth:`evaluate` call serves all of their due windows.
-    A schema lacking a metric the extractor pins raises the batch path's
-    ``KeyError`` here, before any window is scored.
+    plan, and one :meth:`evaluate` call serves all of their series.  A
+    schema lacking a metric the extractor pins, or a selected feature no
+    calculator of the extractor produces, raises full extraction's
+    ``KeyError`` here, before any series is scored.
     """
 
     def __init__(
@@ -70,12 +73,15 @@ class RollingPlan:
         cells: list[tuple[int, int, Calculator, int]] = []
         for j, name in enumerate(self.selected):
             metric, _, feature = name.rpartition("|")
+            entry = feature_map.get(feature)
+            if entry is None:
+                raise KeyError(
+                    f"selected feature {name!r} missing from extraction layout; "
+                    "extractor configuration must match the fitted pipeline"
+                )
             idx = metric_pos.get(metric)
             if idx is None or (allowed is not None and metric not in allowed):
                 continue  # absent cell: stays 0 with a False mask, like batch
-            entry = feature_map.get(feature)
-            if entry is None:
-                continue
             calc, col = entry
             self.present[j] = True
             cells.append((j, idx, calc, col))
@@ -83,7 +89,6 @@ class RollingPlan:
         #: schema columns the context reads, ascending; a window's context
         #: row ``r`` is column ``columns[r]``
         self.columns = np.array(sorted({metric for _, metric, _, _ in cells}), dtype=np.intp)
-        self._column_names = tuple(self.metric_names[c] for c in self.columns)
         #: each calculator the cells need, once; their outputs are
         #: concatenated in this order
         self.calcs: list[Calculator] = []
@@ -106,11 +111,25 @@ class RollingPlan:
     def n_selected(self) -> int:
         return len(self.selected)
 
-    def _window_columns(self, window: NodeSeries) -> np.ndarray:
-        """The plan's ``(T, C)`` columns of *window*, re-gridded like batch."""
+    def _rows(self, windows: list[NodeSeries]) -> np.ndarray:
+        """Context rows ``(W * C, T)``: every window's plan columns, in
+        window order, re-gridded like batch.
+
+        Windows on one time grid (CoMTE's candidates share their sample's)
+        are re-gridded in one call: the interpolation runs column by
+        column, so the rows are the bits one call per window gives.
+        """
+        columns = [w.values[:, self.columns] for w in windows]
         if self.resample_points is None:
-            return window.values[:, self.columns]
-        return window.select_metrics(self._column_names).resample(self.resample_points).values
+            return np.concatenate([c.T for c in columns])
+        ts = windows[0].timestamps
+        if all(w.timestamps is ts for w in windows):
+            _, out = resample_uniform(ts, np.concatenate(columns, axis=1), self.resample_points)
+            return np.ascontiguousarray(out.T)
+        return np.concatenate([
+            resample_uniform(w.timestamps, c, self.resample_points)[1].T
+            for w, c in zip(windows, columns)
+        ])
 
     def evaluate(self, windows: list[NodeSeries]) -> tuple[np.ndarray, np.ndarray]:
         """Raw selected features ``(W, F)`` of *windows* plus the presence mask.
@@ -121,8 +140,7 @@ class RollingPlan:
         """
         raw = np.zeros((len(windows), self.n_selected))
         if self.calcs:
-            rows = np.concatenate([self._window_columns(w).T for w in windows])
-            ctx = MetricBlockContext(rows)
+            ctx = MetricBlockContext(self._rows(windows))
             block = np.concatenate([calc(ctx) for calc in self.calcs], axis=1)
             raw[:, self.present] = block.reshape(len(windows), -1)[:, self._gather]
         return raw, self.present

@@ -15,27 +15,27 @@ Per-node telemetry lives in a :class:`~repro.features.ringbuffer.NodeRingBuffer`
 — one preallocated ``(capacity, M)`` block per node, trimmed to the window
 span on *every* ingest (bounded memory even for nodes whose windows never
 come due), with the evaluation window materialised as a slice instead of a
-list-of-chunks concatenation.  Two feature paths run on top of it, and the
-detector works out which from the pipeline it is given:
+list-of-chunks concatenation.  The due windows go through the pipeline's
+transforms, and the detector works out which from the pipeline it is
+given:
 
 * ``"rolling"`` — the production path, for every fitted
   :class:`DataPipeline` (one with an ``extractor`` and ``selected_names_``),
-  resampling or not: compute only the fitted selection's cells
-  (:class:`~repro.features.rolling.RollingPlan`), the batch kernels of
-  just the selected calculators on one context over the due windows'
-  selected columns.
-* ``"batch"`` — recompute every calculator on the materialised window
-  through the pipeline's runtime engine
-  (:class:`~repro.runtime.parallel.ParallelExtractor`), whose content-hash
-  cache memoises replayed windows.  This is the parity oracle, and the
-  path for duck-typed pipelines that only offer ``transform_series``.
+  resampling or not: the pipeline's own transform, which computes only
+  the fitted selection's cells
+  (:class:`~repro.features.rolling.RollingPlan`) once per group of
+  windows of one schema and one length after resampling.
+* ``"batch"`` — the pipeline's full-extraction oracle
+  (:meth:`DataPipeline.transform_series_full`), every calculator on every
+  metric of the same groups; a duck-typed pipeline that only offers
+  ``transform_series`` runs that instead.
 
 Either path can be forced with ``streaming_mode=`` on the constructor.
-Both share calibration, grouping and verdict semantics: same stream in,
-same (alert, streak) out, and the same scores — bit for bit, except in
-cells of the three kernels that reduce a row with a BLAS ``matrix @
-vector`` (``linear_trend``, ``benford_correlation``, ``fft_aggregated``),
-which can move by a few ULPs when windows are stacked differently (see
+Both share calibration and verdict semantics: same stream in, same
+(alert, streak) out, and the same scores — bit for bit, except in cells
+of the three kernels that reduce a row with a BLAS ``matrix @ vector``
+(``linear_trend``, ``benford_correlation``, ``fft_aggregated``), which
+can move by a few ULPs when windows are stacked differently (see
 :mod:`repro.features.rolling`).
 """
 
@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.core.prodigy import ProdigyDetector
 from repro.features.ringbuffer import NodeRingBuffer
-from repro.features.rolling import RollingPlan
 from repro.pipeline.datapipeline import DataPipeline
 from repro.telemetry.frame import NodeSeries
 
@@ -56,6 +55,14 @@ __all__ = ["StreamVerdict", "StreamingDetector"]
 
 #: Feature paths :class:`StreamingDetector` can be forced onto.
 STREAMING_MODES = ("batch", "rolling")
+
+
+def _is_fitted(pipeline) -> bool:
+    """A fitted :class:`DataPipeline`, as opposed to a duck-typed one."""
+    return (
+        getattr(pipeline, "extractor", None) is not None
+        and getattr(pipeline, "selected_names_", None) is not None
+    )
 
 
 @dataclass(frozen=True)
@@ -131,10 +138,7 @@ class StreamingDetector:
             raise ValueError("evaluate_every must be >= 1")
         if consecutive_alerts < 1:
             raise ValueError("consecutive_alerts must be >= 1")
-        fitted = (
-            getattr(pipeline, "extractor", None) is not None
-            and getattr(pipeline, "selected_names_", None) is not None
-        )
+        fitted = _is_fitted(pipeline)
         if streaming_mode is None:
             streaming_mode = "rolling" if fitted else "batch"
         if streaming_mode not in STREAMING_MODES:
@@ -156,8 +160,6 @@ class StreamingDetector:
         self.lifecycle = lifecycle
         self.streaming_mode = streaming_mode
         self._states: dict[tuple[int, int], _NodeState] = {}
-        #: rolling evaluation plans shared across nodes with one schema
-        self._plans: dict[tuple[str, ...], RollingPlan] = {}
         #: calculator calls rolling mode has made (one per calculator per group)
         self._calc_runs = 0
         #: window-level threshold; defaults to the detector's run-level one
@@ -181,7 +183,7 @@ class StreamingDetector:
         Window bounds come from ``np.searchsorted`` over the (sorted)
         timestamps — O(T log T) over a replayed series instead of an O(T²)
         boolean mask per step.  The windows are extracted through the same
-        grouped flow as :meth:`ingest_many` and each row is scored on its
+        pipeline call as :meth:`ingest_many` and each row is scored on its
         own, so calibration runs the feature path the stream runs.
         """
         windows: list[NodeSeries] = []
@@ -205,8 +207,8 @@ class StreamingDetector:
         if not windows:
             raise ValueError("no healthy windows long enough to calibrate on")
         scores = [
-            float(self.detector.anomaly_score(row)[0])
-            for row in self._group_features(windows)
+            float(self.detector.anomaly_score(row[None, :])[0])
+            for row in self._features(windows)
         ]
         self.threshold_ = float(np.percentile(scores, percentile))
         return self.threshold_
@@ -225,16 +227,16 @@ class StreamingDetector:
 
         All chunks are buffered first; each due window is a snapshot of its
         node's ring, so later chunks of the same node cannot change it.
-        The due windows are then extracted per (length, metric names)
-        group — rolling mode runs the group's plan once, batch mode one
-        ``(N, T, M)`` block through the pipeline engine — so
-        concurrently-reporting nodes share one context per group instead of
-        one per window.  Verdicts (scoring, streaks, lifecycle observation)
-        are emitted sequentially in arrival order, one detector call per
-        window, as one chunk per call would; if a lifecycle promotion
-        hot-swaps the detector mid-batch, later windows in the same batch
-        are scored by the new model, matching sequential semantics (their
-        already-extracted features are model-independent).
+        The due windows then go through one pipeline call, which extracts
+        them per (length after resampling, metric names) group — rolling
+        mode runs the group's plan once, batch mode one full-extraction
+        block — so concurrently-reporting nodes share one context per group
+        instead of one per window.  Verdicts (scoring, streaks, lifecycle
+        observation) are emitted sequentially in arrival order, one
+        detector call per window, as one chunk per call would; if a
+        lifecycle promotion hot-swaps the detector mid-batch, later windows
+        in the same batch are scored by the new model, matching sequential
+        semantics (their already-extracted features are model-independent).
         """
         pending = [p for p in map(self._buffer_chunk, chunks) if p is not None]
         if not pending:
@@ -245,42 +247,34 @@ class StreamingDetector:
             inst.count("microbatch_batches", 1)
             inst.count("microbatch_windows", len(windows))
         verdicts = []
-        for (key, window), features in zip(pending, self._group_features(windows)):
+        for (key, window), row in zip(pending, self._features(windows)):
+            features = row[None, :]
             score = float(self.detector.anomaly_score(features)[0])
             verdicts.append(self._emit_verdict(key, window, features, score))
         return verdicts
 
-    def _group_features(self, windows: list[NodeSeries]) -> list[np.ndarray]:
-        """One ``(1, F)`` feature row per window, extracted per group.
+    def _features(self, windows: list[NodeSeries]) -> np.ndarray:
+        """Scaled feature rows ``(W, F)`` of *windows*, in one pipeline call.
 
-        Windows share one stacked block when they share a metric schema
-        and a length after resampling: extraction runs once per (length,
-        metric names) group, in a deterministic first-seen order.  Batch
-        mode over a resampling extractor stacks every window in one
-        ``transform_series`` call instead.
+        Rolling mode runs the pipeline's transform (the plan); batch mode
+        its full-extraction oracle, or ``transform_series`` of a duck-typed
+        pipeline.  The stream counters count this call only, not the
+        pipeline's other callers (dashboards share it).
         """
-        resample = None
-        if self.streaming_mode == "rolling":
-            extract = self._rolling_features
-            resample = self.pipeline.extractor.resample_points
-        else:
-            inst = self._instrumentation()
-            if inst is not None:
-                inst.count("stream_evaluations", len(windows))
-            extractor = getattr(self.pipeline, "extractor", None)
-            if extractor is None or getattr(extractor, "resample_points", None) is not None:
-                return [row[None, :] for row in self.pipeline.transform_series(windows)]
-
-            def extract(group: list[NodeSeries]) -> np.ndarray:
-                return self.pipeline.transform_series_masked(group)[0]
-
-        groups: dict[tuple, list[int]] = {}
-        for i, w in enumerate(windows):
-            groups.setdefault((resample or w.n_timestamps, w.metric_names), []).append(i)
-        rows: list[np.ndarray] = [None] * len(windows)  # type: ignore[list-item]
-        for idxs in groups.values():
-            for i, row in zip(idxs, extract([windows[i] for i in idxs])):
-                rows[i] = row[None, :]
+        inst = self._instrumentation()
+        if inst is not None:
+            inst.count("stream_evaluations", len(windows))
+        if self.streaming_mode == "batch":
+            if not _is_fitted(self.pipeline):
+                return self.pipeline.transform_series(windows)
+            return self.pipeline.transform_series_full(windows)[0]
+        before = self.pipeline.calc_runs
+        with inst.stage("stream:rolling") if inst is not None else nullcontext():
+            rows = self.pipeline.transform_series(windows)
+        runs = self.pipeline.calc_runs - before
+        self._calc_runs += runs
+        if inst is not None and runs:
+            inst.count("rolling_fallback_calcs", runs)
         return rows
 
     def _buffer_chunk(
@@ -358,38 +352,13 @@ class StreamingDetector:
     def _swap_detector(self, detector: ProdigyDetector) -> None:
         """Hot-swap in a promoted model; alert streaks start clean.
 
-        The rings and rolling plans are feature-level, independent of the
-        detector, so they carry straight across a swap.
+        The rings and the pipeline's plans are feature-level, independent
+        of the detector, so they carry straight across a swap.
         """
         self.detector = detector
         self.threshold_ = float(detector.threshold_)
         for state in self._states.values():
             state.streak = 0
-
-    def _rolling_features(self, windows: list[NodeSeries]) -> np.ndarray:
-        """Feature rows ``(W, F)`` of windows of one schema and resampled length.
-
-        Raw selected values come from the schema's plan, which runs each
-        of its calculators once for the whole group; the scale + mask step
-        here mirrors ``transform_series_masked`` exactly (absent metrics
-        scale from 0 and are re-zeroed under the mask).
-        """
-        names = windows[0].metric_names
-        plan = self._plans.get(names)
-        if plan is None:
-            plan = self._plans[names] = RollingPlan(
-                self.pipeline.extractor, self.pipeline.selected_names_, names
-            )
-        inst = self._instrumentation()
-        with inst.stage("stream:rolling") if inst is not None else nullcontext():
-            raw, present = plan.evaluate(windows)
-            self._calc_runs += len(plan.calcs)
-            if inst is not None:
-                inst.count("stream_evaluations", len(windows))
-                if plan.calcs:
-                    inst.count("rolling_fallback_calcs", len(plan.calcs))
-            scaled = self.pipeline.scaler_.transform(raw)
-            return np.where(present[None, :], scaled, 0.0)
 
     def _instrumentation(self):
         """The pipeline engine's registry when instrumentation is on, else None."""

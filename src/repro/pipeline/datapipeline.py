@@ -6,11 +6,16 @@ unchanged online.  Its fitted state (selected feature names, scaler
 parameters, extractor configuration) is exactly the "deployment metadata"
 the ModelTrainer persists.
 
-Extraction routes through the shared runtime layer: the pipeline owns a
+Fitting extracts every feature, because Chi-square selection scores them
+all; that extraction routes through the shared runtime layer, a
 :class:`~repro.runtime.parallel.ParallelExtractor` engine built from the
-process-wide :class:`~repro.runtime.config.ExecutionConfig`, so worker
-fan-out, feature-row memoisation, and per-stage timers apply to every
-consumer that transforms series through a pipeline.
+process-wide :class:`~repro.runtime.config.ExecutionConfig` (worker
+fan-out, feature-row memoisation, per-stage timers).  A fitted transform
+computes only the selected cells: it groups its series by (length after
+resampling, metric names) and runs each group's
+:class:`~repro.features.rolling.RollingPlan` once.  Full extraction of a
+fitted transform survives only as :meth:`DataPipeline.transform_series_full`,
+the parity oracle of the plan.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.features.extraction import FeatureExtractor
+from repro.features.rolling import RollingPlan
 from repro.features.scaling import MinMaxScaler, Scaler, make_scaler, scaler_from_state
 from repro.features.selection import ChiSquareSelector
 from repro.runtime.config import ExecutionConfig
@@ -67,6 +73,11 @@ class DataPipeline:
         self.selector_: ChiSquareSelector | None = None
         self.scaler_: Scaler | None = None
         self.selected_names_: tuple[str, ...] | None = None
+        #: plans keyed by (selection, metric names): ``selected_names_`` is
+        #: also assigned directly, so the selection is part of the key
+        self._plans: dict[tuple[tuple[str, ...], tuple[str, ...]], RollingPlan] = {}
+        #: calculator calls the plans have made (one per calculator per group)
+        self.calc_runs = 0
 
     # -- offline -------------------------------------------------------------
 
@@ -131,67 +142,86 @@ class DataPipeline:
             scaled, selected.feature_names, present=selected.present
         )
 
+    def plan(self, metric_names: tuple[str, ...]) -> RollingPlan:
+        """The selected-feature plan of one metric schema, built once per selection."""
+        key = (self.selected_names_, metric_names)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = RollingPlan(
+                self.extractor, self.selected_names_, metric_names
+            )
+        return plan
+
+    def _groups(self, series: list[NodeSeries]) -> list[list[int]]:
+        """Indices of *series* per (length after resampling, metric names).
+
+        Groups come in first-seen order; each one is a single stacked
+        block, for its plan or for full extraction alike.
+        """
+        resample = self.extractor.resample_points
+        groups: dict[tuple, list[int]] = {}
+        for i, s in enumerate(series):
+            groups.setdefault((resample or s.n_timestamps, s.metric_names), []).append(i)
+        return list(groups.values())
+
     def transform_series(self, series: Sequence[NodeSeries]) -> np.ndarray:
         """Raw series -> scaled feature matrix ``(N, n_features)``."""
-        check_fitted(self, ["selector_", "scaler_"])
-        series = list(series)
-        if len({s.schema_digest for s in series}) > 1:
-            scaled, _ = self.transform_series_masked(series)
-            return scaled
-        features, names = self.engine.extract_matrix(series)
-        inst = self.engine.instrumentation
-        with inst.stage("select", items=len(series)):
-            pos = {n: i for i, n in enumerate(names)}
-            try:
-                idx = [pos[n] for n in self.selected_names_]
-            except KeyError as e:
-                raise KeyError(
-                    f"selected feature {e.args[0]!r} missing from extraction layout; "
-                    "extractor configuration must match the fitted pipeline"
-                ) from None
-            selected = features[:, idx]
-        with inst.stage("scale", items=len(series)):
-            return self.scaler_.transform(selected)
+        return self.transform_series_masked(series)[0]
 
     def transform_series_masked(
         self, series: Sequence[NodeSeries]
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Like :meth:`transform_series` but returns the presence mask too.
+        """Raw series -> ``(scaled, present)`` through the selected-feature plan.
 
-        Homogeneous input returns ``(scaled, None)`` via the dense path.
-        Mixed input is schema-partitioned; selected features a node's
-        schema does not produce come back 0-filled with a False mask cell
-        (including features missing from the union layout entirely).
+        Each (length after resampling, metric names) group runs its plan
+        once.  A selected feature whose metric a node's schema lacks comes
+        back 0 with a False mask cell; dense input returns ``(scaled, None)``.
         """
         check_fitted(self, ["selector_", "scaler_"])
         series = list(series)
-        if len({s.schema_digest for s in series}) <= 1:
-            # Dense fast path only when the single layout covers every
-            # selected feature — a schema-partial batch (e.g. CPU nodes
-            # under a mixed-trained pipeline) must go through the mask.
-            metric_names = (
-                self.extractor.metrics
-                if self.extractor.metrics is not None
-                else series[0].metric_names
-            )
-            layout = set(self.extractor.feature_names(metric_names))
-            if all(n in layout for n in self.selected_names_):
-                return self.transform_series(series), None
-        table = self.extractor.extract_table(series)
-        inst = self.engine.instrumentation
-        n, f = len(series), len(self.selected_names_)
-        with inst.stage("select", items=n):
-            pos = {name: i for i, name in enumerate(table.feature_names)}
-            features = np.zeros((n, f))
-            present = np.zeros((n, f), dtype=bool)
-            for j, name in enumerate(self.selected_names_):
-                i = pos.get(name)
-                if i is not None:
-                    features[:, j] = table.features[:, i]
-                    present[:, j] = table.present[:, i]
-        with inst.stage("scale", items=n):
-            scaled = np.where(present, self.scaler_.transform(features), 0.0)
-        return scaled, present
+        if not series:
+            raise ValueError("need at least one NodeSeries")
+        raw = np.zeros((len(series), len(self.selected_names_)))
+        present = np.zeros(raw.shape, dtype=bool)
+        with self.engine.instrumentation.stage("extract", items=len(series)):
+            for idx in self._groups(series):
+                plan = self.plan(series[idx[0]].metric_names)
+                raw[idx], present[idx] = plan.evaluate([series[i] for i in idx])
+                self.calc_runs += len(plan.calcs)
+        return self._scale(raw, present)
+
+    def transform_series_full(
+        self, series: Sequence[NodeSeries]
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """:meth:`transform_series_masked` by full extraction: the plan's oracle.
+
+        Every calculator runs on every metric of each group, as in
+        :meth:`fit`, before the selected cells are kept; batch-mode
+        streaming and the parity tests run it, no online path does.
+        """
+        check_fitted(self, ["selector_", "scaler_"])
+        series = list(series)
+        raw = np.zeros((len(series), len(self.selected_names_)))
+        present = np.zeros(raw.shape, dtype=bool)
+        for idx in self._groups(series):
+            features, names = self.extractor.extract_matrix([series[i] for i in idx])
+            pos = {name: i for i, name in enumerate(names)}
+            cells = [j for j, name in enumerate(self.selected_names_) if name in pos]
+            block = np.ix_(idx, cells)
+            raw[block] = features[:, [pos[self.selected_names_[j]] for j in cells]]
+            present[block] = True
+        return self._scale(raw, present)
+
+    def _scale(
+        self, raw: np.ndarray, present: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        with self.engine.instrumentation.stage("scale", items=len(raw)):
+            scaled = self.scaler_.transform(raw)
+            if present.all():
+                return scaled, None
+            # Absent cells are placeholders, not measurements; pin them to 0
+            # so the scaler's offset cannot fabricate a value.
+            return np.where(present, scaled, 0.0), present
 
     def transform_single(self, series: NodeSeries) -> np.ndarray:
         """One node run -> one scaled feature row (CoMTE's evaluation path)."""

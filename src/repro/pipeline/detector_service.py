@@ -5,10 +5,10 @@ transforms each node's series with the fitted DataPipeline, and emits a
 binary prediction per compute node.  It also exposes the raw-series
 ``predict_proba`` interface CoMTE needs.
 
-All extraction goes through the pipeline's runtime engine, so repeated
-scoring of the same job (dashboard refreshes, CoMTE follow-ups) hits the
-feature cache, and :meth:`AnomalyDetectorService.runtime_stats` exposes the
-per-stage timers for service health monitoring.
+The pipeline's transform computes only the selected feature cells of
+each node (the selected-feature plan), and
+:meth:`AnomalyDetectorService.runtime_stats` exposes the per-stage timers
+for service health monitoring.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.prodigy import ProdigyDetector
+from repro.explain.evaluators import series_classifier
 from repro.pipeline.datagenerator import DataGenerator
 from repro.pipeline.datapipeline import DataPipeline
 from repro.telemetry.frame import NodeSeries
@@ -170,16 +171,6 @@ class AnomalyDetectorService:
         return self.detector.predict_proba(features)
 
     def as_series_classifier(self):
-        """A :data:`~repro.explain.comte.SeriesClassifier` over this service.
-
-        The returned callable scores one series; its ``classify_batch``
-        attribute scores a list in one dispatch, which
-        :class:`~repro.explain.evaluators.ClassifierEvaluator` picks up to
-        batch candidate evaluation.
-        """
-
-        def classify(series: NodeSeries) -> np.ndarray:
-            return self.predict_proba_series(series)
-
-        classify.classify_batch = self.predict_proba_series_batch
-        return classify
+        """CoMTE's :func:`~repro.explain.evaluators.series_classifier` over
+        the service's pipeline and current detector."""
+        return series_classifier(self.pipeline, self.detector)

@@ -1,8 +1,8 @@
 """Execution configuration for the shared extraction/inference runtime.
 
 One small frozen object carries every knob of the runtime layer — worker
-count, task granularity, cache capacity, instrumentation on/off — and is
-resolvable from three sources with a fixed precedence:
+count, cache capacity, instrumentation on/off, fleet transport, gateway
+cache — and is resolvable from three sources with a fixed precedence:
 
     explicit argument  >  ``PRODIGY_*`` environment  >  process default
 
@@ -62,9 +62,6 @@ class ExecutionConfig:
     n_workers:
         Worker processes for feature extraction.  ``1`` means the serial
         in-process path (no pool is ever created).
-    chunk_size:
-        Metrics per parallel work unit; ``0`` picks a chunk that yields
-        roughly two tasks per worker.
     cache_size:
         Feature-row entries kept by the LRU :class:`FeatureCache`;
         ``0`` disables caching entirely.
@@ -86,7 +83,6 @@ class ExecutionConfig:
     """
 
     n_workers: int = _knob(1, "PRODIGY_WORKERS", _parse_int)
-    chunk_size: int = _knob(0, "PRODIGY_CHUNK_SIZE", _parse_int)
     cache_size: int = _knob(512, "PRODIGY_CACHE_SIZE", _parse_int)
     instrument: bool = _knob(True, "PRODIGY_INSTRUMENT", _parse_flag)
     fleet_transport: str = _knob("inline", "PRODIGY_FLEET_TRANSPORT", _parse_choice)
@@ -95,8 +91,6 @@ class ExecutionConfig:
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.chunk_size < 0:
-            raise ValueError(f"chunk_size must be >= 0, got {self.chunk_size}")
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
         if self.gateway_cache_size < 0:

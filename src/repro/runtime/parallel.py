@@ -12,9 +12,8 @@ runtime services every consumer needs:
   ``n_workers=1``, a single-CPU host (``os.cpu_count() == 1``), or a plan
   with too few units to amortise pool startup;
 * **memoisation** — per-series feature rows are cached in a content-hashed
-  LRU (:class:`~repro.runtime.cache.FeatureCache`), so streaming window
-  replays, CoMTE's repeated evaluator calls, and experiment re-runs over
-  shared datasets skip extraction entirely;
+  LRU (:class:`~repro.runtime.cache.FeatureCache`), so experiment re-runs
+  and repeated fits over shared datasets skip extraction entirely;
 * **instrumentation** — the ``extract`` stage timer and cache hit/miss
   counters feed the global registry surfaced by ``runtime stats``.
 
@@ -115,7 +114,6 @@ def plan_chunks(
     calculators: Sequence[Calculator],
     n_metrics: int,
     n_workers: int,
-    chunk_size: int = 0,
 ) -> list[WorkUnit]:
     """Split an extraction into cost-balanced work units.
 
@@ -123,21 +121,11 @@ def plan_chunks(
     split so every unit carries roughly ``total_weight / (n_workers * 2)``
     of work — the expensive tier shatters into fine metric spans while the
     cheap tier stays in a few coarse ones, instead of every uniform K-chunk
-    dragging the full expensive tier along.  An explicit ``chunk_size``
-    pins uniform K-axis spans carrying all calculators (the legacy knob).
-    Units come back heaviest-first so pool submission order aids balance.
+    dragging the full expensive tier along.  Units come back heaviest-first
+    so pool submission order aids balance.
     """
     if n_metrics < 1:
         return []
-    if chunk_size:
-        all_idx = tuple(range(len(calculators)))
-        per_metric = sum(calculator_cost_weight(c) for c in calculators)
-        units = [
-            WorkUnit(lo, min(lo + chunk_size, n_metrics), all_idx,
-                     per_metric * (min(lo + chunk_size, n_metrics) - lo))
-            for lo in range(0, n_metrics, chunk_size)
-        ]
-        return sorted(units, key=lambda u: -u.weight)
     tiers: dict[str, list[int]] = {}
     for i, calc in enumerate(calculators):
         tiers.setdefault(calc.cost, []).append(i)
@@ -172,9 +160,8 @@ class ParallelExtractor:
         Runtime knobs; defaults to the process-wide
         :func:`~repro.runtime.config.get_execution_config`.
     cache:
-        Share a :class:`FeatureCache` across engines (e.g. CoMTE's
-        per-metric engines); by default each engine owns one sized by
-        ``config.cache_size`` (0 disables).
+        Share a :class:`FeatureCache` across engines; by default each
+        engine owns one sized by ``config.cache_size`` (0 disables).
     instrumentation:
         Stage-timer registry; defaults to the global one.
     """
@@ -322,7 +309,7 @@ class ParallelExtractor:
             return self.extractor.extract_matrix(series)[0]
         block, _ = self.extractor.stack(series)
         calcs = self.extractor.calculators
-        units = plan_chunks(calcs, block.shape[2], workers, self.config.chunk_size)
+        units = plan_chunks(calcs, block.shape[2], workers)
         if len(units) <= 1:
             self._record_plan("serial", "single_unit", units)
             return compute_block(calcs, block)
@@ -397,7 +384,6 @@ class ParallelExtractor:
         return {
             "config": {
                 "n_workers": self.config.n_workers,
-                "chunk_size": self.config.chunk_size,
                 "cache_size": self.config.cache_size,
                 "instrument": self.config.instrument,
                 "fleet_transport": self.config.fleet_transport,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.explain.comte import OptimizedSearch
-from repro.explain.evaluators import FeatureSpaceEvaluator
 from repro.pipeline.datagenerator import DataGenerator
 from repro.pipeline.detector_service import AnomalyDetectorService
 from repro.serving.errors import ServingError, UnknownDashboardError, error_envelope
@@ -231,12 +230,11 @@ class AnalyticsService:
             return [error_envelope(
                 "no_healthy_references", "no healthy reference series configured"
             )]
-        # Incremental feature-space evaluation: candidate substitutions only
-        # re-extract the substituted metric's feature block.
-        evaluator = FeatureSpaceEvaluator(
-            self.detector_service.pipeline, self.detector_service.detector
+        search = OptimizedSearch(
+            self.detector_service.as_series_classifier(),
+            self.healthy_references,
+            max_metrics=8,
         )
-        search = OptimizedSearch(evaluator, self.healthy_references, max_metrics=8)
         out = []
         anomalous = [p for p in predictions if p.is_anomalous][:max_explanations]
         for pred in anomalous:

@@ -20,7 +20,37 @@ from repro.util.validation import check_array
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.telemetry.schema import MetricSchema
 
-__all__ = ["TelemetryFrame", "NodeSeries"]
+__all__ = ["TelemetryFrame", "NodeSeries", "resample_uniform"]
+
+
+def resample_uniform(
+    timestamps: np.ndarray, values: np.ndarray, n_points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(grid, values)``: *values* linearly interpolated onto *n_points*
+    uniform samples spanning *timestamps* (:meth:`NodeSeries.resample`).
+
+    All columns interpolate in one shot instead of one ``np.interp`` call
+    per column.  The arithmetic mirrors ``np.interp`` exactly — same
+    interval search, same slope formula, exact-hit and right-endpoint
+    short circuits — so results stay bit-identical to the loop, and a
+    column's result does not depend on which other columns come along.
+    """
+    if n_points < 2:
+        raise ValueError(f"n_points must be >= 2, got {n_points}")
+    if timestamps.size < 2:
+        raise ValueError("cannot resample a series with fewer than 2 samples")
+    ts = timestamps
+    grid = np.linspace(ts[0], ts[-1], n_points)
+    idx = np.searchsorted(ts, grid, side="right") - 1
+    idx = np.clip(idx, 0, ts.size - 2)
+    x_lo = ts[idx]
+    y_lo = values[idx]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        slope = (values[idx + 1] - y_lo) / (ts[idx + 1] - x_lo)[:, None]
+        out = slope * (grid - x_lo)[:, None] + y_lo
+    out = np.where((grid == x_lo)[:, None], y_lo, out)
+    out[-1] = values[-1]
+    return grid, out
 
 
 @dataclass(frozen=True)
@@ -153,25 +183,7 @@ class NodeSeries:
         dataset into one ``(N, T)`` array per metric — the vectorisation that
         keeps extraction tractable without compiled code.
         """
-        if n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {n_points}")
-        if self.n_timestamps < 2:
-            raise ValueError("cannot resample a series with fewer than 2 samples")
-        ts = self.timestamps
-        grid = np.linspace(ts[0], ts[-1], n_points)
-        # All metrics interpolate in one shot instead of one np.interp call
-        # per column.  The arithmetic mirrors np.interp exactly — same
-        # interval search, same slope formula, exact-hit and right-endpoint
-        # short circuits — so results stay bit-identical to the loop.
-        idx = np.searchsorted(ts, grid, side="right") - 1
-        idx = np.clip(idx, 0, ts.size - 2)
-        x_lo = ts[idx]
-        y_lo = self.values[idx]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            slope = (self.values[idx + 1] - y_lo) / (ts[idx + 1] - x_lo)[:, None]
-            out = slope * (grid - x_lo)[:, None] + y_lo
-        out = np.where((grid == x_lo)[:, None], y_lo, out)
-        out[-1] = self.values[-1]
+        grid, out = resample_uniform(self.timestamps, self.values, n_points)
         return NodeSeries(
             self.job_id, self.component_id, grid, out, self.metric_names, schema=self.schema
         )

@@ -289,6 +289,27 @@ class TestLoadgenCommand:
 class TestErrorHandling:
     """Operator mistakes exit 2 with one-line errors, never tracebacks."""
 
+    def test_closed_stdout_exits_quietly(self):
+        """A reader that goes away (``| head``) ends the CLI like SIGPIPE."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "runtime", "stats",
+             "--samples", "4", "--metrics", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 141
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["frobnicate"])

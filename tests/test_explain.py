@@ -8,6 +8,7 @@ from repro.explain import (
     ClassifierEvaluator,
     Counterfactual,
     OptimizedSearch,
+    series_classifier,
     substitute_metrics,
 )
 from repro.telemetry import NodeSeries
@@ -280,8 +281,8 @@ class TestEvaluators:
         assert ev.p_anomalous_batch(anomalous_sample, distractors[0], []).size == 0
 
 
-class TestFeatureSpaceEvaluator:
-    """Equivalence of the fast evaluator with the reference path."""
+class TestSeriesClassifier:
+    """CoMTE over a fitted deployment: the pipeline transform per candidate."""
 
     @pytest.fixture(scope="class")
     def deployment(self, labeled_runs, tiny_extractor):
@@ -301,76 +302,70 @@ class TestFeatureSpaceEvaluator:
         det.fit(transformed.features, transformed.labels)
         return pipe, det, series_list, labels
 
-    def test_matches_reference_classifier(self, deployment):
-        from repro.explain import FeatureSpaceEvaluator
-
-        pipe, det, series_list, labels = deployment
-        anom = next(s for s, l in zip(series_list, labels) if l == 1)
-        healthy = next(s for s, l in zip(series_list, labels) if l == 0)
-
-        fse = FeatureSpaceEvaluator(pipe, det)
-        ref = ClassifierEvaluator(
-            lambda s: det.predict_proba(pipe.transform_single(s))[0]
-        )
-        for metrics in [(), ("MemFree::meminfo",), ("MemFree::meminfo", "pgfault::vmstat")]:
-            fast = fse.p_anomalous(anom, healthy, metrics)
-            slow = ref.p_anomalous(anom, healthy, metrics)
-            assert fast == pytest.approx(slow, abs=2e-3), metrics
-
-    def test_as_classifier_adapter(self, deployment):
-        from repro.explain import FeatureSpaceEvaluator
-
-        pipe, det, series_list, _ = deployment
-        fse = FeatureSpaceEvaluator(pipe, det)
-        proba = fse.as_classifier()(series_list[0])
-        assert proba.shape == (2,)
-        assert proba.sum() == pytest.approx(1.0)
+    def test_candidates_are_the_pinned_metrics(self, deployment):
+        pipe, det, _, _ = deployment
+        ev = ClassifierEvaluator(series_classifier(pipe, det))
+        assert ev.candidate_metrics == pipe.extractor.metrics
 
     def test_unknown_metric_rejected(self, deployment):
-        from repro.explain import FeatureSpaceEvaluator
-
-        pipe, det, series_list, labels = deployment
-        fse = FeatureSpaceEvaluator(pipe, det)
+        pipe, det, series_list, _ = deployment
+        ev = ClassifierEvaluator(series_classifier(pipe, det))
         with pytest.raises(KeyError):
-            fse.p_anomalous(series_list[0], series_list[1], ("not_a_metric",))
+            ev.p_anomalous(series_list[0], series_list[1], ("not_a_metric",))
 
     def test_batch_matches_serial(self, deployment):
         """One batched dispatch == per-candidate p_anomalous calls."""
-        from repro.explain import FeatureSpaceEvaluator
-
         pipe, det, series_list, labels = deployment
         anom = next(s for s, l in zip(series_list, labels) if l == 1)
         healthy = next(s for s, l in zip(series_list, labels) if l == 0)
-        fse = FeatureSpaceEvaluator(pipe, det)
+        ev = ClassifierEvaluator(series_classifier(pipe, det))
         sets = [
             ("MemFree::meminfo",),
             ("pgfault::vmstat",),
             ("MemFree::meminfo", "pgfault::vmstat"),
         ]
-        ps = fse.p_anomalous_batch(anom, healthy, sets)
+        ps = ev.p_anomalous_batch(anom, healthy, sets)
         assert ps.shape == (3,)
         for p, metrics in zip(ps, sets):
             assert float(p) == pytest.approx(
-                fse.p_anomalous(anom, healthy, metrics), abs=1e-12
+                ev.p_anomalous(anom, healthy, metrics), abs=1e-12
             ), metrics
 
     def test_search_modes_identical_on_deployment(self, deployment):
-        """Fast-path search == reference search on a real fitted detector."""
-        from repro.explain import FeatureSpaceEvaluator
-
+        """Batched, memoised search == per-candidate search on a real detector."""
         pipe, det, series_list, labels = deployment
         anom = next(s for s, l in zip(series_list, labels) if l == 1)
         healthy = [s for s, l in zip(series_list, labels) if l == 0][:4]
         kw = dict(max_metrics=3, n_distractors=2)
+        classifier = series_classifier(pipe, det)
         reference = OptimizedSearch(
-            FeatureSpaceEvaluator(pipe, det), healthy,
-            memoize=False, batched=False, **kw,
+            classifier, healthy, memoize=False, batched=False, **kw,
         ).explain(anom)
-        fast = OptimizedSearch(
-            FeatureSpaceEvaluator(pipe, det), healthy, **kw
-        ).explain(anom)
+        fast = OptimizedSearch(classifier, healthy, **kw).explain(anom)
         assert fast.metrics == reference.metrics
         assert fast.p_anomalous_after == pytest.approx(
             reference.p_anomalous_after, abs=1e-12
         )
         assert fast.distractor_component_id == reference.distractor_component_id
+
+
+def test_prodigy_explains_a_cpu_node_of_a_mixed_fleet():
+    """CPU nodes of a CPU+GPU deployment lack the GPU cells: they stay masked."""
+    from repro.core import Prodigy
+    from repro.scenarios import get_scenario, load_scenario_series, simulate_scenario
+
+    sc = get_scenario("gpu-cluster")
+    run = simulate_scenario(sc, jobs=2, anomalous_jobs=2, nodes=2, duration_s=90, seed=0)
+    series = load_scenario_series(run.frame, sc, trim_seconds=10.0)
+    labels = [run.labels[f"{s.job_id}:{s.component_id}"] for s in series]
+    prodigy = Prodigy(
+        n_features=256, hidden_dims=(16, 8), latent_dim=4, epochs=20, batch_size=8,
+        seed=3,
+    ).fit(series, labels)
+    assert any(n.startswith("GPU_") for n in prodigy.pipeline.selected_names_)
+    cpu = next(
+        s for s, label in zip(series, labels) if label == 1 and s.component_id < 2000
+    )
+    cf = prodigy.explain(cpu, max_metrics=2)
+    assert 0.0 <= cf.p_anomalous_before <= 1.0
+    assert set(cf.metrics) <= set(cpu.metric_names)

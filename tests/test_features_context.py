@@ -225,13 +225,6 @@ class TestPlanChunks:
             span.setdefault(tier, []).append(unit.metric_hi - unit.metric_lo)
         assert max(span["expensive"]) <= min(span["cheap"])
 
-    def test_explicit_chunk_size_pins_uniform_spans(self):
-        calcs = full_calculators()
-        units = plan_chunks(calcs, n_metrics=10, n_workers=4, chunk_size=4)
-        spans = sorted((u.metric_lo, u.metric_hi) for u in units)
-        assert spans == [(0, 4), (4, 8), (8, 10)]
-        assert all(len(u.calc_indices) == len(calcs) for u in units)
-
     def test_units_sorted_heaviest_first_and_empty_metrics(self):
         calcs = full_calculators()
         units = plan_chunks(calcs, n_metrics=8, n_workers=2)

@@ -16,6 +16,7 @@ from repro.pipeline import (
     ModelTrainer,
     load_detector,
 )
+from repro.telemetry import NodeSeries
 from repro.workloads import ECLIPSE_APPS, JobRunner, JobSpec, VOLTA
 
 
@@ -129,6 +130,89 @@ class TestDataPipeline:
         np.testing.assert_allclose(
             rebuilt.transform_single(series[0]), pipe.transform_single(series[0])
         )
+
+
+def _runs(names, lengths, seed, job_id=1):
+    """Random node runs, one per length, with a level shift on odd runs."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for comp, n in enumerate(lengths):
+        vals = 100.0 + 40.0 * rng.random((n, len(names)))
+        vals[:, 0] += 30.0 * (comp % 2)
+        out.append(NodeSeries(job_id, comp, np.arange(float(n)), vals, names))
+    return out
+
+
+def _fit_resample_free(series, n_features=24):
+    pipe = DataPipeline(FeatureExtractor(resample_points=None), n_features=n_features)
+    pipe.fit_from_series(series, np.arange(len(series)) % 2)
+    return pipe
+
+
+class TestPlanTransform:
+    """The fitted transform runs the selected-feature plan per group."""
+
+    NAMES = ("m0", "m1", "m2")
+
+    def test_plan_cache_follows_the_selection(self):
+        train = _runs(self.NAMES, [120] * 8, seed=1)
+        pipe = _fit_resample_free(train)
+        first = pipe.transform_series(train)
+        np.testing.assert_array_equal(first, pipe.transform_series_full(train)[0])
+        # Assigned directly, as the CLI, loadgen and Prodigy's healthy-only
+        # fit do: the next transform must serve the new selection.
+        pipe.selected_names_ = pipe.selected_names_[::-1]
+        np.testing.assert_array_equal(
+            pipe.transform_series(train), pipe.transform_series_full(train)[0]
+        )
+        assert not np.array_equal(pipe.transform_series(train), first)
+        # A re-fit with another width replaces the selection too.
+        pipe.n_features = 10
+        pipe.fit_from_series(train, np.arange(8) % 2)
+        assert pipe.transform_series(train).shape == (8, 10)
+        np.testing.assert_array_equal(
+            pipe.transform_series(train), pipe.transform_series_full(train)[0]
+        )
+
+    def test_unknown_calculator_output_raises(self):
+        train = _runs(self.NAMES, [120] * 4, seed=2)
+        pipe = _fit_resample_free(train)
+        pipe.selected_names_ = pipe.selected_names_[:-1] + ("m0|no_such_feature",)
+        with pytest.raises(KeyError, match="missing from extraction layout"):
+            pipe.transform_series(train)
+
+    def test_absent_metric_stays_masked(self):
+        wide = _runs(self.NAMES + ("g0",), [120] * 4, seed=3)
+        narrow = _runs(self.NAMES, [120] * 4, seed=4, job_id=2)
+        pipe = _fit_resample_free(wide + narrow, n_features=64)
+        gpu = np.array([n.startswith("g0|") for n in pipe.selected_names_])
+        assert gpu.any() and not gpu.all()
+        scaled, present = pipe.transform_series_masked(narrow)
+        np.testing.assert_array_equal(present, np.broadcast_to(~gpu, present.shape))
+        assert not scaled[:, gpu].any()
+        assert pipe.transform_series_masked(wide)[1] is None
+
+    def test_two_lengths_without_resampling(self):
+        """A resample-free batch of two lengths == each length on its own."""
+        train = _runs(self.NAMES, [120] * 6, seed=5)
+        pipe = _fit_resample_free(train)
+        batch = _runs(self.NAMES, [120, 90, 120, 90, 90], seed=6)
+        long_rows = pipe.transform_series([batch[0], batch[2]])
+        short_rows = pipe.transform_series([batch[1], batch[3], batch[4]])
+        got = pipe.transform_series(batch)
+        np.testing.assert_array_equal(got[[0, 2]], long_rows)
+        np.testing.assert_array_equal(got[[1, 3, 4]], short_rows)
+        np.testing.assert_array_equal(got, pipe.transform_series_full(batch)[0])
+
+    def test_transform_records_one_extract_stage(self):
+        train = _runs(self.NAMES, [120] * 4, seed=7)
+        pipe = _fit_resample_free(train)
+        inst = pipe.engine.instrumentation
+        calls = inst.stage_stats("extract").calls
+        items = inst.stage_stats("extract").items
+        pipe.transform_series(train + _runs(self.NAMES, [90, 90], seed=8))
+        assert inst.stage_stats("extract").calls == calls + 1
+        assert inst.stage_stats("extract").items == items + 6
 
 
 class TestModelTrainerAndService:

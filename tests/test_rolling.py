@@ -296,7 +296,7 @@ class TestRollingParity:
             sd, rolling = _run_stream(pipeline, detector, chunks, "rolling", **kw)
             _assert_parity(batch, rolling)
             # One context over the selected columns; m2, m4 and m6 stay out.
-            assert list(sd._plans[names].columns) == [0, 1, 3, 5]
+            assert list(pipeline.plan(names).columns) == [0, 1, 3, 5]
             calc_runs.append(sd.runtime_stats()["rolling"]["fallback_calc_runs"])
         # NaN bursts, in a selected column or not, change no calculator count.
         assert calc_runs[0] > 0
@@ -324,13 +324,13 @@ class TestRollingParity:
             pipeline, detector, stream, "batch", micro_batch=6,
             window_seconds=40, evaluate_every=10, consecutive_alerts=2,
         )
-        sd, rolling = _run_stream(
+        _, rolling = _run_stream(
             pipeline, detector, stream, "rolling", micro_batch=6,
             window_seconds=40, evaluate_every=10, consecutive_alerts=2,
         )
         _assert_parity(batch, rolling)
-        # Two schemas -> exactly two shared rolling plans, one per schema.
-        assert len(sd._plans) == 2
+        # Two schemas -> exactly two shared plans, one per schema.
+        assert len(pipeline._plans) == 2
 
     def test_detector_hot_swap_mid_stream(self, rolling_deployment):
         pipeline, detector, series = rolling_deployment
@@ -430,7 +430,7 @@ class TestRollingParity:
             )
             _assert_parity(batch, rolling)
             runs = sd.runtime_stats()["rolling"]["fallback_calc_runs"]
-            per_window = len(sd._plans[names].calcs) * len(rolling)
+            per_window = len(pipeline.plan(names).calcs) * len(rolling)
             if micro_batch is None:
                 assert runs == per_window
             else:
@@ -465,7 +465,7 @@ class TestRollingParity:
                 assert runs == 0
             grouped += out
         assert due_rounds >= 5
-        assert runs_per_window == len(sd._plans[names].calcs) > 0
+        assert runs_per_window == len(pipeline.plan(names).calcs) > 0
         _assert_parity(per_chunk, grouped)
 
     def test_promotion_inside_one_micro_batch(self, rolling_deployment):
@@ -597,7 +597,7 @@ class TestResamplingParity:
             assert sd.streaming_mode == "rolling"
             _assert_parity(batch, rolling, tol)
             # Only the selected columns of the pinned metrics are re-gridded.
-            plan = sd._plans[resampling_series[0].metric_names]
+            plan = pipeline.plan(resampling_series[0].metric_names)
             assert list(plan.columns) == ([0, 2, 3, 5] if row_variant else [0, 3, 5])
 
     @pytest.mark.parametrize("resample_points", [None, 64])
@@ -617,6 +617,80 @@ class TestResamplingParity:
                             window_seconds=60, evaluate_every=12)
             errors[mode] = str(exc.value)
         assert errors["batch"] == errors["rolling"] == repr("unknown metric 'm2'")
+
+
+def _assert_transform_parity(pipeline, series):
+    """The plan transform equals the full-extraction oracle; returns the mask.
+
+    Values are bit-equal except in trend/Benford/FFT cells (1e-9), and the
+    presence masks are equal.
+    """
+    got, got_mask = pipeline.transform_series_masked(series)
+    want, want_mask = pipeline.transform_series_full(series)
+    if want_mask is None:
+        assert got_mask is None
+    else:
+        np.testing.assert_array_equal(got_mask, want_mask)
+    variant = np.isin(pipeline.selected_names_, _row_variant_cells(pipeline))
+    np.testing.assert_array_equal(got[:, ~variant], want[:, ~variant])
+    np.testing.assert_allclose(got[:, variant], want[:, variant], rtol=0.0, atol=1e-9)
+    return got_mask
+
+
+class TestTransformParity:
+    """Every fitted transform runs the plan; full extraction is its oracle."""
+
+    def test_perfbench_shaped_deployment(self):
+        """96 metrics, default calculators, no resampling, 64 selected cells."""
+        rng = np.random.default_rng(83)
+        names = tuple(f"m{i}" for i in range(96))
+
+        def run(comp, n, anomalous):
+            t = np.arange(float(n))
+            vals = 100.0 + 40.0 * rng.random((n, len(names)))
+            vals += 10.0 * np.sin(t / 7.0)[:, None] * rng.random(len(names))
+            if anomalous:
+                vals[:, :12] += np.linspace(0.0, 60.0, n)[:, None]
+            return NodeSeries(9, comp, t, vals, names)
+
+        train = [run(c, 240, c % 2 == 1) for c in range(12)]
+        pipeline = DataPipeline(FeatureExtractor(resample_points=None), n_features=64)
+        pipeline.fit_from_series(train, np.arange(12) % 2)
+        assert len(pipeline.selected_names_) == 64
+        dashboard = [run(c, 180, c == 0) for c in range(4)]
+        assert _assert_transform_parity(pipeline, dashboard) is None
+        assert _assert_transform_parity(pipeline, train[:8]) is None
+
+    def test_resampling_deployment_with_pinned_metrics(self, resampling_series):
+        pipeline, _ = _resampling_deployment(resampling_series, row_variant=True)
+        assert _row_variant_cells(pipeline)
+        rng = np.random.default_rng(89)
+        names = resampling_series[0].metric_names
+        shorter = [_make_series(150, names, 7, comp, rng) for comp in range(2)]
+        assert _assert_transform_parity(pipeline, resampling_series + shorter) is None
+        # CoMTE's candidates share their sample's time grid: one re-grid call.
+        sample = resampling_series[0]
+        candidates = [sample.with_values(sample.values * k) for k in (1.0, 0.5, 2.0)]
+        assert _assert_transform_parity(pipeline, candidates) is None
+
+    @pytest.mark.parametrize("resample_points", [128, None])
+    def test_mixed_gpu_cluster_fleet(self, resample_points):
+        from repro.scenarios import get_scenario, load_scenario_series, simulate_scenario
+
+        sc = get_scenario("gpu-cluster")
+        run = simulate_scenario(sc, jobs=4, anomalous_jobs=2, nodes=2, duration_s=90, seed=5)
+        series = load_scenario_series(run.frame, sc, trim_seconds=10.0)
+        labels = [run.labels[f"{s.job_id}:{s.component_id}"] for s in series]
+        assert len({s.schema_digest for s in series}) == 2
+        pipeline = DataPipeline(
+            FeatureExtractor(resample_points=resample_points), n_features=256
+        )
+        pipeline.fit_from_series(series, labels)
+        mask = _assert_transform_parity(pipeline, series)
+        assert mask is not None and not mask.all()
+        cpu = [s for s in series if s.component_id < 2000]
+        cpu_mask = _assert_transform_parity(pipeline, cpu)
+        assert cpu_mask is not None and (~cpu_mask).any()
 
 
 class TestRollingValidation:

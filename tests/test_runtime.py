@@ -47,7 +47,6 @@ class TestExecutionConfig:
     def test_defaults(self):
         cfg = ExecutionConfig()
         assert cfg.n_workers == 1
-        assert cfg.chunk_size == 0
         assert cfg.cache_size == 512
         assert cfg.instrument is True
 
@@ -55,12 +54,11 @@ class TestExecutionConfig:
         cfg = ExecutionConfig.from_env(
             {
                 "PRODIGY_WORKERS": "4",
-                "PRODIGY_CHUNK_SIZE": "8",
                 "PRODIGY_CACHE_SIZE": "64",
                 "PRODIGY_INSTRUMENT": "off",
             }
         )
-        assert cfg == ExecutionConfig(n_workers=4, chunk_size=8, cache_size=64, instrument=False)
+        assert cfg == ExecutionConfig(n_workers=4, cache_size=64, instrument=False)
 
     def test_from_env_ignores_blank_and_missing(self):
         assert ExecutionConfig.from_env({"PRODIGY_WORKERS": "  "}) == ExecutionConfig()
@@ -79,8 +77,6 @@ class TestExecutionConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="n_workers"):
             ExecutionConfig(n_workers=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            ExecutionConfig(chunk_size=-1)
         with pytest.raises(ValueError, match="cache_size"):
             ExecutionConfig(cache_size=-1)
 

@@ -178,7 +178,7 @@ class TestStreamingDetector:
 
         # The pre-searchsorted implementation, inlined: one boolean age mask
         # over the whole prefix per step.  Its windows are scored through
-        # the extraction calibrate uses, one detector call per window.
+        # the pipeline transform calibrate uses, one detector call per window.
         windows = []
         step = stream.evaluate_every
         ts = healthy.timestamps
@@ -194,7 +194,8 @@ class TestStreamingDetector:
                 continue
             windows.append(window)
         scores = [
-            float(det.anomaly_score(row)[0]) for row in stream._group_features(windows)
+            float(det.anomaly_score(row[None, :])[0])
+            for row in pipe.transform_series(windows)
         ]
         assert new_threshold == float(np.percentile(scores, 99.0))
 
