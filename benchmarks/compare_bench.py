@@ -182,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     import check_perf
 
     regressed = False
+    failed: list[str] = []
     for bench in check_perf.BENCHES:
         filename = bench.filename
         paths = TRACKED_METRICS.get(filename)
@@ -195,15 +196,25 @@ def main(argv: list[str] | None = None) -> int:
         if not baseline.get("ok", True):
             print(f"{filename}: committed baseline marked failed, skipping")
             continue
-        fresh = bench.run()
+        try:
+            fresh = bench.run()
+        except AssertionError as exc:
+            # The bench's own floor or parity check failed: report it as
+            # one row and still compare the benches after it.
+            print(f"{filename}: FAILED — {exc or type(exc).__name__}")
+            failed.append(filename)
+            continue
         rows = compare_payloads(
             baseline, fresh, paths, threshold,
             skip_reasons=scaling_skip_reasons(filename, fresh),
         )
         print(format_rows(f"{filename} (threshold {threshold:.2f}x)", rows))
         regressed |= any(row["regressed"] for row in rows)
+    if failed:
+        print(f"\nbench checks failed: {', '.join(failed)}", file=sys.stderr)
     if regressed:
         print("\nperf regression detected", file=sys.stderr)
+    if failed or regressed:
         return 1
     print("\nno perf regressions")
     return 0

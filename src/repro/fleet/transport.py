@@ -268,7 +268,7 @@ class ProcessWorkerHandle:
         self._staged: deque[NodeSeries] = deque()
         self._inflight: deque[tuple[int, NodeSeries]] = deque()
         self._next_seq = 1
-        self._schema_idx: dict[str, int] = {}
+        self._schema_idx: dict[tuple[str, ...], int] = {}
         self._threshold = float(threshold) if threshold is not None else (
             float(detector.threshold_)
         )
@@ -349,11 +349,14 @@ class ProcessWorkerHandle:
         return True
 
     def _schema_index(self, chunk: NodeSeries) -> int:
-        digest = chunk.schema_digest
-        idx = self._schema_idx.get(digest)
+        # Keyed on the column names: a schema's digest is the digest of its
+        # flat names, so equal tuples are exactly the chunks that share a
+        # digest, without hashing every name per pushed chunk.
+        names = chunk.metric_names
+        idx = self._schema_idx.get(names)
         if idx is None:
             idx = len(self._schema_idx)
-            self._schema_idx[digest] = idx
+            self._schema_idx[names] = idx
             # Register before the first push so the worker can always
             # resolve a header's schema_idx from its control channel.
             self._send_ctl(("schema", idx, chunk.metric_names, chunk.schema))

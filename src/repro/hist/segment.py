@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -290,10 +291,14 @@ class Segment:
                 raise ValueError(f"{self.path}: not a segment file (bad magic {magic!r})")
             (header_len,) = np.frombuffer(fh.read(8), dtype=np.uint64)
             header = json.loads(fh.read(int(header_len)).decode())
+            #: file size in bytes (the file never changes once written)
+            self.nbytes = os.fstat(fh.fileno()).st_size
         self._header = header
         prefix = len(_MAGIC) + 8 + int(header_len)
         self._data_start = prefix + ((-prefix) % _ALIGN)
         self._columns = {c["name"]: c for c in header["columns"]}
+        #: columns per codec, counted once for layout stats
+        self.codec_counts = dict(Counter(c["codec"] for c in header["columns"]))
         self._mm: np.memmap | None = None
 
     # -- zone map / metadata ---------------------------------------------------
@@ -347,10 +352,6 @@ class Segment:
     @property
     def meters(self) -> dict[str, str]:
         return dict(self._header["meters"])
-
-    @property
-    def nbytes(self) -> int:
-        return self.path.stat().st_size
 
     def codec_of(self, name: str) -> str:
         return self._columns[name]["codec"]

@@ -6,15 +6,18 @@ Same interface as the legacy in-process store (``ingest``/``query``/
 surface :class:`~repro.pipeline.datagenerator.DataGenerator` consumes),
 different substrate:
 
-* ingest appends to a small in-memory **memtable** per container; when it
-  exceeds ``flush_rows`` (or on :meth:`flush`), rows are partitioned by
-  ``segment_span``-second time windows and written as immutable columnar
-  :mod:`segments <repro.hist.segment>`;
+* ingest copies each frame into the container's in-memory **memtable**,
+  one contiguous block (the index columns plus one ``(rows, M)`` values
+  array) whose capacity doubles but never past what the next flush
+  needs; when it reaches ``flush_rows`` (or on :meth:`flush`), its rows
+  are partitioned by ``segment_span``-second time windows and sealed as
+  immutable columnar :mod:`segments <repro.hist.segment>`;
 * queries prune segments by zone map, scan survivors via the
   runtime-pooled :class:`~repro.hist.scanner.ParallelSegmentScanner`,
-  merge the memtable tail, and re-establish the legacy row order with one
-  ``(job, ingest-seq)`` sort — results are **bit-identical** to
-  ``DsosStore`` on the same ingest stream (the acceptance oracle);
+  filter the memtable block with one mask, and re-establish the legacy
+  row order with one ``(job, ingest-seq)`` sort — results are
+  **bit-identical** to ``DsosStore`` on the same ingest stream (the
+  acceptance oracle);
 * :meth:`~HistContainer.compact` builds the downsampled retention tiers
   (:mod:`repro.hist.retention`), queryable via ``query(..., tier=...)``.
   Every tier segment records the raw segments it was derived from
@@ -26,9 +29,12 @@ different substrate:
 
 Persistence is a plain directory tree (``<root>/<sampler>/<tier>/*.seg``
 plus a small ``manifest.json`` carrying the schema, meter kinds, and the
-sealed ingest high-water mark); re-opening a flushed store picks up every
-sealed segment — even when retention has emptied the raw tier — and
-continues the ingest sequence where it left off.
+sealed ingest high-water mark).  The manifest is written at a
+container's first flush, when its meter kinds change, and when retention
+drops raw rows — not on every flush, because while raw segments remain
+their ``seq`` column holds the high-water mark.  Re-opening a flushed
+store picks up every sealed segment — even when retention has emptied
+the raw tier — and continues the ingest sequence where it left off.
 """
 
 from __future__ import annotations
@@ -62,13 +68,18 @@ _MANIFEST = "manifest.json"
 
 
 def _empty_frame(metric_names: tuple[str, ...]) -> TelemetryFrame:
-    return TelemetryFrame(
-        np.empty(0, np.int64),
-        np.empty(0, np.int64),
-        np.empty(0),
-        np.empty((0, len(metric_names))),
-        metric_names,
-    )
+    block = _empty_block(len(metric_names), 0)
+    return TelemetryFrame(**block, metric_names=metric_names)
+
+
+def _empty_block(n_metrics: int, capacity: int) -> dict[str, np.ndarray]:
+    """Uninitialised memtable columns, keyed like a segment scan's output."""
+    return {
+        "job_id": np.empty(capacity, np.int64),
+        "component_id": np.empty(capacity, np.int64),
+        "timestamp": np.empty(capacity),
+        "values": np.empty((capacity, n_metrics)),
+    }
 
 
 class HistContainer:
@@ -92,7 +103,9 @@ class HistContainer:
         self.meters: dict[str, str] = dict(meters or {})
         #: sealed segments per retention tier, in seal order
         self.segments: dict[str, list[Segment]] = {tier: [] for tier in TIERS}
-        self._memtable: list[tuple[int, TelemetryFrame]] = []  # (seq_start, block)
+        #: the memtable: its first ``_memtable_rows`` rows are the unsealed
+        #: tail, ingest seqs ``[_next_seq - _memtable_rows, _next_seq)``
+        self._block = _empty_block(len(schema.metric_names), 0)
         self._memtable_rows = 0
         self._next_seq = 0
         self._jobs: np.ndarray | None = None
@@ -100,7 +113,8 @@ class HistContainer:
 
     def _load_existing(self) -> None:
         manifest = self.root / _MANIFEST
-        if manifest.is_file():
+        self._has_manifest = manifest.is_file()
+        if self._has_manifest:
             # The sealed high-water mark survives retention dropping every
             # raw segment: ingest seq never restarts behind dropped history.
             self._next_seq = int(json.loads(manifest.read_text()).get("next_seq", 0))
@@ -115,6 +129,12 @@ class HistContainer:
                     self._next_seq = max(self._next_seq, seg.seq_max + 1)
 
     def _write_manifest(self) -> None:
+        """Persist the container's identity and sealed high-water mark.
+
+        Written when the identity is first sealed or changes, and when
+        retention drops raw rows — not per flush: while raw segments
+        remain, reopening recovers the high-water mark from their ``seq``.
+        """
         payload = {
             "sampler": self.schema.name,
             "metric_names": list(self.schema.metric_names),
@@ -124,6 +144,13 @@ class HistContainer:
         tmp = self.root / f".{_MANIFEST}.tmp"
         tmp.write_text(json.dumps(payload, separators=(",", ":")))
         os.replace(tmp, self.root / _MANIFEST)
+        self._has_manifest = True
+
+    def update_meters(self, meters: dict[str, str]) -> None:
+        """Merge resolved meter kinds; a sealed container persists them."""
+        self.meters.update(meters)
+        if self._has_manifest:
+            self._write_manifest()
 
     # -- ingest ----------------------------------------------------------------
 
@@ -143,48 +170,65 @@ class HistContainer:
         if frame.n_rows == 0:
             return 0
         check_ingest_timestamps(frame.timestamp, sampler=self.schema.name)
-        self._memtable.append((self._next_seq, frame))
-        self._memtable_rows += frame.n_rows
+        start = self._memtable_rows
+        end = start + frame.n_rows
+        capacity = self._block["timestamp"].shape[0]
+        if end > capacity:
+            # Geometric growth, never past what the next flush needs: the
+            # block flushes once it holds flush_rows, so at most
+            # flush_rows - 1 rows plus this frame.
+            grown = _empty_block(
+                len(self.schema.metric_names),
+                min(max(end, 2 * capacity), self.flush_rows + frame.n_rows),
+            )
+            for name, col in self._block.items():
+                grown[name][:start] = col[:start]
+            self._block = grown
+        for name, col in self._block.items():
+            col[start:end] = getattr(frame, name)
+        self._memtable_rows = end
         self._next_seq += frame.n_rows
         self._jobs = None
-        if self._memtable_rows >= self.flush_rows:
+        if end >= self.flush_rows:
             self.flush()
         return frame.n_rows
 
     def flush(self) -> list[Segment]:
-        """Seal the memtable into time-partitioned segments (may be empty)."""
-        if not self._memtable:
+        """Seal the memtable into time-partitioned segments (may be empty).
+
+        The block is released, not kept for later appends: a container
+        holds memory only for the rows it has not sealed.
+        """
+        n = self._memtable_rows
+        if not n:
             return []
-        with get_instrumentation().stage("hist_flush", items=self._memtable_rows):
-            frames = [f for _, f in self._memtable]
-            seq = np.concatenate(
-                [np.arange(s0, s0 + f.n_rows, dtype=np.int64) for s0, f in self._memtable]
-            )
-            block = frames[0] if len(frames) == 1 else TelemetryFrame.concat(frames)
-            self._memtable.clear()
+        with get_instrumentation().stage("hist_flush", items=n):
+            block = {name: col[:n] for name, col in self._block.items()}
+            seq = np.arange(self._next_seq - n, self._next_seq, dtype=np.int64)
+            self._block = _empty_block(len(self.schema.metric_names), 0)
             self._memtable_rows = 0
             written: list[Segment] = []
-            partition = np.floor_divide(block.timestamp, self.segment_span).astype(np.int64)
-            for window in np.unique(partition):
-                rows = np.flatnonzero(partition == window)
+            partition = np.floor_divide(block["timestamp"], self.segment_span).astype(np.int64)
+            windows = np.unique(partition)
+            for window in windows:
+                rows = slice(None) if windows.size == 1 else np.flatnonzero(partition == window)
+                part = {name: col[rows] for name, col in block.items()}
+                part["seq"] = seq[rows]
                 path = self.root / TIER_RAW / (
-                    f"segment-{int(seq[rows[0]]):012d}-w{int(window)}{_SEGMENT_SUFFIX}"
+                    f"segment-{int(part['seq'][0]):012d}-w{int(window)}{_SEGMENT_SUFFIX}"
                 )
                 seg = write_segment(
                     path,
                     sampler=self.schema.name,
                     tier=TIER_RAW,
-                    job_id=block.job_id[rows],
-                    component_id=block.component_id[rows],
-                    timestamp=block.timestamp[rows],
-                    seq=seq[rows],
-                    values=block.values[rows],
                     metric_names=self.schema.metric_names,
                     meters=self.meters,
+                    **part,
                 )
                 self.segments[TIER_RAW].append(seg)
                 written.append(seg)
-            self._write_manifest()
+            if not self._has_manifest:
+                self._write_manifest()
         return written
 
     # -- stats -----------------------------------------------------------------
@@ -196,10 +240,8 @@ class HistContainer:
     def jobs(self) -> np.ndarray:
         if self._jobs is None:
             parts = [s.jobs for s in self.segments[TIER_RAW]]
-            parts.extend(f.jobs() for _, f in self._memtable)
-            self._jobs = (
-                np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-            )
+            parts.append(self._block["job_id"][: self._memtable_rows])
+            self._jobs = np.unique(np.concatenate(parts))
         return self._jobs
 
     def stats(self) -> dict:
@@ -208,8 +250,8 @@ class HistContainer:
         for tier, segs in self.segments.items():
             codecs: dict[str, int] = {}
             for seg in segs:
-                for col in seg._header["columns"]:
-                    codecs[col["codec"]] = codecs.get(col["codec"], 0) + 1
+                for codec, n in seg.codec_counts.items():
+                    codecs[codec] = codecs.get(codec, 0) + n
             tiers[tier] = {
                 "segments": len(segs),
                 "rows": sum(s.n_rows for s in segs),
@@ -267,30 +309,23 @@ class HistContainer:
         return TelemetryFrame(job[order], comp[order], ts[order], vals[order], metric_names)
 
     def _scan_memtable(self, job_id, component_id, t0, t1) -> list[dict]:
-        out = []
-        for seq_start, frame in self._memtable:
-            mask = np.ones(frame.n_rows, dtype=bool)
-            if job_id is not None:
-                mask &= frame.job_id == job_id
-            if component_id is not None:
-                mask &= frame.component_id == component_id
-            if t0 is not None:
-                mask &= frame.timestamp >= t0
-            if t1 is not None:
-                mask &= frame.timestamp <= t1
-            rows = np.flatnonzero(mask)
-            if not rows.size:
-                continue
-            out.append(
-                {
-                    "job_id": frame.job_id[rows],
-                    "component_id": frame.component_id[rows],
-                    "timestamp": frame.timestamp[rows],
-                    "seq": seq_start + rows.astype(np.int64),
-                    "values": frame.values[rows],
-                }
-            )
-        return out
+        n = self._memtable_rows
+        block = {name: col[:n] for name, col in self._block.items()}
+        mask = np.ones(n, dtype=bool)
+        if job_id is not None:
+            mask &= block["job_id"] == job_id
+        if component_id is not None:
+            mask &= block["component_id"] == component_id
+        if t0 is not None:
+            mask &= block["timestamp"] >= t0
+        if t1 is not None:
+            mask &= block["timestamp"] <= t1
+        rows = np.flatnonzero(mask)
+        if not rows.size:
+            return []
+        part = {name: col[rows] for name, col in block.items()}
+        part["seq"] = (self._next_seq - n) + rows.astype(np.int64)
+        return [part]
 
     # -- compaction / retention -------------------------------------------------
 
@@ -399,6 +434,9 @@ class HistContainer:
             self.segments[tier] = keep
         if dropped.get(TIER_RAW):
             self._jobs = None
+            # The dropped segments may have held the sealed high-water
+            # mark that reopening reads from raw seqs: persist it.
+            self._write_manifest()
         return dropped
 
     def _covered_downsampled(self, seg: Segment) -> bool:
@@ -514,14 +552,20 @@ class HistStore:
         return self.schemas.register(schema)
 
     def set_meters(self, sampler: str, meters: dict[str, str]) -> None:
-        """Override meter kinds for a sampler's columns (before first ingest)."""
+        """Override meter kinds for a sampler's columns.
+
+        Segments sealed earlier keep the kinds they were encoded with;
+        compaction and later flushes use the new ones, and a container
+        that already has a manifest rewrites it so the kinds survive a
+        reopen.
+        """
         for kind in meters.values():
             if kind not in METER_KINDS:
                 raise ValueError(f"meter kind must be one of {METER_KINDS}, got {kind!r}")
         self._meter_overrides.setdefault(sampler, {}).update(meters)
         container = self._containers.get(sampler)
         if container is not None:
-            container.meters.update(
+            container.update_meters(
                 resolve_meters(
                     container.schema.metric_names,
                     registry=self.schemas,

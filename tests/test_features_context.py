@@ -493,6 +493,34 @@ class TestCompareBench:
         assert check_perf.main([str(p) for p in outs]) == 0
         assert [json.loads(p.read_text())["i"] for p in outs] == [0, 1]
 
+    def test_failed_bench_is_one_row_and_later_benches_compare(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import json
+
+        import check_perf
+
+        def below_floor():
+            raise AssertionError("speedup 1.47x below its 1.5x floor")
+
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        monkeypatch.setattr(self.cb, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(self.cb, "TRACKED_METRICS", {
+            "BENCH_first.json": ("t.seconds",),
+            "BENCH_second.json": ("t.seconds",),
+        })
+        for name in self.cb.TRACKED_METRICS:
+            (tmp_path / name).write_text(json.dumps({"ok": True, "t": {"seconds": 1.0}}))
+        monkeypatch.setattr(check_perf, "BENCHES", (
+            check_perf.Bench("BENCH_first.json", below_floor, lambda r: ""),
+            check_perf.Bench("BENCH_second.json", lambda: {"t": {"seconds": 1.0}}, lambda r: ""),
+        ))
+        assert self.cb.main(["1.2"]) == 1
+        out = capsys.readouterr().out
+        assert "BENCH_first.json: FAILED — speedup 1.47x below its 1.5x floor" in out
+        assert "BENCH_second.json (threshold 1.20x):" in out
+        assert "t.seconds: 1.000s -> 1.000s (1.00x) ok" in out
+
     def test_tracked_metrics_resolve_in_committed_baselines(self):
         import json
 

@@ -58,6 +58,13 @@ class EnginePipeline:
         return self.engine.extract_matrix(list(windows))[0]
 
 
+class PerWindowPipeline(EnginePipeline):
+    """Extracts window by window, so one micro-batch may mix column layouts."""
+
+    def transform_series(self, windows) -> np.ndarray:
+        return np.vstack([self.transform_single(w) for w in windows])
+
+
 class MeanDetector:
     """Stateless: score = mean of the feature row.  Order-independent."""
 
@@ -103,6 +110,17 @@ def verdict_map(verdicts):
             (round(v.anomaly_score, 12), v.alert, v.streak)
         for v in verdicts
     }
+
+
+def drain_until_idle(handle, timeout=60):
+    """Pump *handle* until nothing is staged, in flight or unread."""
+    verdicts = []
+    deadline = time.monotonic() + timeout
+    while (handle.busy() or handle.queue_depth) and time.monotonic() < deadline:
+        verdicts.extend(handle.drain())
+        time.sleep(0.002)
+    verdicts.extend(handle.drain())
+    return verdicts
 
 
 def shm_entries():
@@ -249,13 +267,7 @@ class TestProcessWorkerHandle:
             chunks = node_chunks(1, 0)
             for chunk in chunks:
                 assert handle.enqueue(chunk) == 0  # nothing shed
-            verdicts = []
-            deadline = time.monotonic() + 60
-            while (handle.busy() or handle.queue_depth) and \
-                    time.monotonic() < deadline:
-                verdicts.extend(handle.drain())
-                time.sleep(0.002)
-            verdicts.extend(handle.drain())
+            verdicts = drain_until_idle(handle)
 
             oracle = StreamingDetector(
                 EnginePipeline(), MeanDetector(), **STREAM_KW)
@@ -272,6 +284,46 @@ class TestProcessWorkerHandle:
         assert status["transport"] == "process"
         assert status["drained_chunks"] == 6
         assert json.dumps(status)
+
+    def test_one_schema_message_per_name_tuple(self):
+        # Two column layouts, every chunk carrying its own (equal) name
+        # tuple: the worker learns each layout once and scores both like
+        # the inline oracle.
+        def renamed(chunks, names):
+            return [
+                NodeSeries(c.job_id, c.component_id, c.timestamps, c.values,
+                           tuple(names))
+                for c in chunks
+            ]
+
+        chunks = interleave([
+            renamed(node_chunks(1, 0), ["m0", "m1", "m2"]),
+            renamed(node_chunks(1, 1), ["m0", "m1", "m2"]),
+            renamed(node_chunks(2, 0), ["n0", "n1", "n2"]),
+        ])
+        handle = ProcessWorkerHandle(
+            "wz", PerWindowPipeline(), MeanDetector(), dict(STREAM_KW),
+            queue_capacity=len(chunks),
+        )
+        sent = []
+        send_ctl = handle._send_ctl
+
+        def record(msg):
+            sent.append(msg[0])
+            return send_ctl(msg)
+
+        handle._send_ctl = record
+        try:
+            for chunk in chunks:
+                assert handle.enqueue(chunk) == 0
+            verdicts = drain_until_idle(handle)
+        finally:
+            handle.close()
+        assert sent.count("schema") == 2
+        oracle = StreamingDetector(PerWindowPipeline(), MeanDetector(), **STREAM_KW)
+        expected = [v for c in chunks if (v := oracle.ingest(c)) is not None]
+        assert expected
+        assert verdict_map(verdicts) == verdict_map(expected)
 
     def test_heartbeat_advances_while_idle(self):
         handle = ProcessWorkerHandle(

@@ -27,6 +27,7 @@ from repro.hist import (
 )
 from repro.hist.retention import COUNT_COLUMN
 from repro.hist.segment import decode_column, encode_column
+from repro.hist.store import HistContainer
 from repro.runtime import ExecutionConfig
 from repro.telemetry import NodeSeries, TelemetryFrame
 from repro.telemetry.schema import COUNTER, MetricField, MetricSchema
@@ -76,6 +77,20 @@ def assert_store_parity(hist: HistStore, legacy: DsosStore):
 
 def ingest_both(hist, legacy, sampler, frame):
     assert hist.ingest(sampler, frame) == legacy.ingest(sampler, frame)
+
+
+@pytest.fixture
+def manifest_writes(monkeypatch):
+    """Sampler names of every manifest write, in order."""
+    writes = []
+    write = HistContainer._write_manifest
+
+    def counted(container):
+        writes.append(container.schema.name)
+        write(container)
+
+    monkeypatch.setattr(HistContainer, "_write_manifest", counted)
+    return writes
 
 
 class TestCodecs:
@@ -238,6 +253,36 @@ class TestParity:
         assert hist.container("samp").segments["raw"]  # autoflush fired
         assert_store_parity(hist, legacy)
 
+    def test_parity_many_small_appends(self, tmp_path):
+        """Hundreds of few-row appends over several jobs, queried between
+        appends: the memtable block grows past its first capacity, an
+        autoflush seals it part-way, and appends continue after it."""
+        hist = HistStore(tmp_path / "hist", segment_span=16.0, flush_rows=500)
+        legacy = DsosStore()
+        rng = np.random.default_rng(23)
+        clock: dict[tuple[int, int], float] = {}
+        capacities = []
+        flushed_at = None
+        for i in range(320):
+            job, comp = int(rng.integers(1, 5)), int(rng.integers(10, 13))
+            n = int(rng.integers(1, 5))
+            t0 = clock.get((job, comp), 0.0)
+            clock[(job, comp)] = t0 + n
+            ingest_both(hist, legacy, "samp", frame_for(job, comp, t0, n, rng=rng))
+            container = hist.container("samp")
+            capacities.append(container._block["timestamp"].shape[0])
+            if flushed_at is None and container.segments["raw"]:
+                flushed_at = i
+            filters = FILTERS[i % len(FILTERS)]
+            assert_frames_identical(
+                hist.query("samp", **filters), legacy.query("samp", **filters)
+            )
+        assert len(set(capacities[: flushed_at or 0])) > 2  # grew, geometrically
+        assert flushed_at is not None and flushed_at < 300  # appends after it
+        assert len(container.segments["raw"]) > 1  # the flush spanned windows
+        assert container.stats()["memtable_rows"] > 0
+        assert_store_parity(hist, legacy)
+
     def test_parity_heterogeneous_schemas(self, tmp_path):
         """hpc-node + gpu-cluster samplers with typed counters, one store."""
         node = MetricSchema(
@@ -280,6 +325,64 @@ class TestParity:
         ingest_both(hist, legacy, "samp", f)
         hist.flush()
         assert_store_parity(hist, legacy)
+
+
+class TestManifest:
+    """manifest.json is written when a container's identity is first
+    sealed or changes, and when retention drops raw rows — not per flush."""
+
+    def test_flushes_write_it_once_and_reopen_continues(self, tmp_path, manifest_writes):
+        hist = HistStore(tmp_path / "hist", segment_span=16.0)
+        legacy = DsosStore()
+        rng = np.random.default_rng(4)
+        for i in range(3):
+            ingest_both(hist, legacy, "samp", frame_for(1 + i % 2, 10, 20.0 * i, 20, rng=rng))
+            hist.flush()
+        assert len(hist.container("samp").segments["raw"]) > 3
+        assert manifest_writes == ["samp"]
+        reopened = HistStore(tmp_path / "hist", segment_span=16.0)
+        assert reopened.container("samp")._next_seq == 60  # the sealed rows
+        assert_store_parity(reopened, legacy)
+        ingest_both(reopened, legacy, "samp", frame_for(2, 11, 100.0, 10, rng=rng))
+        assert_store_parity(reopened, legacy)
+        assert manifest_writes == ["samp"]
+
+    def test_set_meters_after_last_flush_survives_reopen(self, tmp_path, manifest_writes):
+        hist = HistStore(tmp_path / "hist", segment_span=16.0)
+        hist.ingest("samp", frame_for(1, 10, 0.0, 20))
+        hist.set_meters("samp", {"b": DELTA})  # unsealed: the flush persists it
+        assert manifest_writes == []
+        hist.flush()
+        hist.set_meters("samp", {"a": CUMULATIVE})
+        assert manifest_writes == ["samp", "samp"]
+        reopened = HistStore(tmp_path / "hist", segment_span=16.0)
+        assert reopened.container("samp").meters == {"a": CUMULATIVE, "b": DELTA}
+
+
+class TestMemtable:
+    def test_stats_follow_appends_and_flush(self, tmp_path):
+        hist = HistStore(tmp_path / "hist", segment_span=16.0)
+        total = 0
+        for n in (5, 7, 11):
+            hist.ingest("samp", frame_for(1, 10, float(total), n))
+            total += n
+            stats = hist.container("samp").stats()
+            assert stats["memtable_rows"] == total
+            assert stats["rows"] == total
+        hist.flush()
+        stats = hist.container("samp").stats()
+        assert stats["memtable_rows"] == 0
+        assert stats["rows"] == total
+        assert hist.container("samp")._block["values"].shape[0] == 0  # released
+        # Sizes and codec counts are taken once per segment; they match the
+        # files and headers on disk.
+        segs = hist.container("samp").segments["raw"]
+        assert stats["tiers"]["raw"]["bytes"] == sum(s.path.stat().st_size for s in segs)
+        codecs: dict[str, int] = {}
+        for seg in segs:
+            for col in seg._header["columns"]:
+                codecs[col["codec"]] = codecs.get(col["codec"], 0) + 1
+        assert stats["tiers"]["raw"]["codecs"] == codecs
 
 
 class TestWindowBoundaries:
@@ -435,6 +538,14 @@ class TestRetentionTiers:
         assert hist.query("samp").n_rows == 0  # raw gone...
         assert hist.query("samp", tier="1min").n_rows == 10  # ...tiers remain
 
+    def test_retention_dropping_raw_writes_manifest(self, tmp_path, manifest_writes):
+        hist = self.build(tmp_path, flushes=2)
+        assert manifest_writes == ["samp"]  # the first flush only
+        assert hist.apply_retention(RetentionPolicy({"raw": 100.0}), now=0.0) == {}
+        assert manifest_writes == ["samp"]  # nothing dropped, nothing written
+        hist.apply_retention(RetentionPolicy({"raw": 100.0}), now=10_000.0)
+        assert manifest_writes == ["samp", "samp"]
+
     def test_retention_keeps_uncovered_raw(self, tmp_path):
         hist = HistStore(tmp_path / "h2", segment_span=600.0)
         hist.ingest("samp", frame_for(1, 10, 0.0, 60))
@@ -517,7 +628,7 @@ class TestRetentionTiers:
             hist.apply_retention(RetentionPolicy({"raw": 100.0}), now=10_000.0)
             assert hist.container("samp").segments["raw"] == []
             # Only the manifest remembers the sealed high-water mark now, so
-            # the last flush must have rewritten it, not just the first.
+            # retention must have rewritten it after the last flush.
             reopened = HistStore(root / "hist", segment_span=600.0)
             assert reopened.container("samp").segments["raw"] == []
             assert reopened.container("samp")._next_seq == 600
