@@ -9,16 +9,17 @@ parallel cold, warm cache — recording samples/sec, speedups, the cache hit
 rate, and the stage-timing snapshot.
 
 Feature check: the shared-context/vectorised calculator engine against the
-frozen pre-vectorisation kernels (:mod:`repro.features.reference`) on the
+frozen pre-vectorisation kernels (``tests/oracles/features.py``) on the
 full calculator set — full-set and expensive-tier-only wall-clock with
 parity verification (bit-identical cheap tier, <= 1e-9 elsewhere), the
 1-CPU parallel-fallback ratio, and the micro-batch win over per-series
 extraction.  Timings are interleaved best-of-3 so the ratios survive a
 noisy bench host.
 
-After writing fresh reports, each is diffed against the previously
-committed baseline via :mod:`benchmarks.compare_bench` (non-gating here;
-``compare_bench.py`` run standalone exits 1 on a >1.2x regression).
+After writing fresh reports, each is diffed on its row's tracked metrics
+against the previously committed baseline via
+:mod:`benchmarks.compare_bench` (non-gating here; ``compare_bench.py`` run
+standalone exits 1 on a >1.2x regression).
 
 Lifecycle check: registry save/load latency, plus the drift-monitor tax on
 the streaming hot path — the same synthetic stream replayed through a bare
@@ -30,7 +31,7 @@ not gate.
 
 Training check: the fused VAE fast path (preallocated kernels, packed
 parameters, in-place Adam, shared minibatch iterator) against the frozen
-pre-fast-path trainer (:class:`repro.nn.reference.ReferenceVAETrainer`),
+pre-fast-path trainer (``ReferenceVAETrainer``, ``tests/oracles/nn.py``),
 asserting bit-identical trained weights and ``TrainingHistory`` for the
 same seed with a >= 1.5x wall-clock floor; plus the batched + memoised
 CoMTE search against per-candidate evaluation on a fitted deployment,
@@ -61,19 +62,24 @@ zero responses tagged with the demoted model version, both versions
 observed, and the injected anomalous job alerted (lead time recorded).
 
 DSOS check: the columnar historical store against the legacy in-process
-DSOS oracle on a >= 2M-row synthetic history — ingest throughput for both
-substrates, the legacy first (consolidating) query vs a zone-map-pruned
-mmap query on a cold-opened store (asserted >= 5x faster), p50/p99 latency
-over 200 random (job, window) queries, compaction throughput into the
-1min/10min retention tiers, and bit-identical parity on sampled queries.
+DSOS oracle (``tests/oracles/dsos.py``) on a >= 2M-row synthetic history —
+ingest throughput for both substrates, the legacy first (consolidating)
+query vs a zone-map-pruned mmap query on a cold-opened store (asserted
+>= 5x faster), p50/p99 latency over 200 random (job, window) queries,
+compaction throughput into the 1min/10min retention tiers, and
+bit-identical parity on sampled queries.
 
 Scenario check: the heterogeneous-fleet path end to end — simulate the
 ``gpu-cluster`` scenario (mixed CPU + GPU node classes), schema-partition
 load, mixed-schema pipeline fit, and masked scoring — with two parity
 assertions: homogeneous synthesis is bit-identical to the frozen
-pre-schema-refactor synthesizer (:mod:`repro.workloads.reference`), and the
+pre-schema-refactor synthesizer (``tests/oracles/workloads.py``), and the
 schema-partitioned ``extract_table`` is bit-identical to the dense
 ``extract_matrix`` on a homogeneous fleet.
+
+The frozen oracles live under ``tests/oracles/``, outside the installed
+package; importing this module puts ``tests/`` on ``sys.path`` so they
+resolve as :mod:`oracles`.
 
 Always exits 0: this script produces perf records for the PR.
 
@@ -95,6 +101,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT / "tests") not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 #: Acceptance budget: lifecycle-attached streaming may cost at most 10%
 #: more per evaluated window than the bare detector.
@@ -199,9 +207,9 @@ def _interleaved_best(fns: list, reps: int = 3) -> list[float]:
 
 
 def run_feature_check() -> dict:
+    from oracles.features import reference_full_calculators
     from repro.features import FeatureExtractor
     from repro.features.calculators import full_calculators
-    from repro.features.reference import reference_full_calculators
     from repro.runtime import ExecutionConfig, Instrumentation, ParallelExtractor
 
     runs = _workload(n_metrics=N_METRICS_FULL)
@@ -886,10 +894,10 @@ def _explain_workload():
 
 
 def run_training_check() -> dict:
+    from oracles.nn import ReferenceVAETrainer
     from repro.core.vae import VAE
     from repro.explain.comte import OptimizedSearch
     from repro.explain.evaluators import series_classifier
-    from repro.nn.reference import ReferenceVAETrainer
 
     cfg = VAE_BENCH
     result: dict = {"cpu_count": os.cpu_count()}
@@ -1014,13 +1022,13 @@ SCENARIO_BENCH = {
 
 
 def run_scenario_check() -> dict:
+    from oracles.workloads import PreRefactorSynthesizer
     from repro.core import Prodigy
     from repro.features.extraction import FeatureExtractor
     from repro.scenarios import get_scenario, load_scenario_series, simulate_scenario
     from repro.util.rng import ensure_rng
     from repro.workloads import default_catalog, zero_drivers
     from repro.workloads.metrics import MetricSynthesizer
-    from repro.workloads.reference import PreRefactorSynthesizer
 
     cfg = SCENARIO_BENCH
     result: dict = {"workload": dict(cfg), "cpu_count": os.cpu_count()}
@@ -1150,7 +1158,7 @@ def _dsos_history(cfg: dict):
 def run_dsos_check() -> dict:
     import tempfile
 
-    from repro.dsos import DsosStore
+    from oracles.dsos import DsosStore
     from repro.hist import CUMULATIVE, DELTA, HistStore
 
     cfg = DSOS_BENCH
@@ -1673,41 +1681,76 @@ def _write_report(out_path: Path, run, summarise) -> dict:
     return result
 
 
-def _diff_vs_baseline(compare_bench, name: str, baseline: dict | None, fresh: dict) -> None:
+def _diff_vs_baseline(compare_bench, bench: Bench, baseline: dict | None, fresh: dict) -> None:
     """Non-gating regression diff of a fresh report vs the committed baseline."""
-    paths = compare_bench.TRACKED_METRICS.get(name)
-    if paths is None or baseline is None or not baseline.get("ok") or not fresh.get("ok"):
+    if baseline is None or not baseline.get("ok") or not fresh.get("ok"):
         return
     rows = compare_bench.compare_payloads(
-        baseline, fresh, paths,
-        skip_reasons=compare_bench.scaling_skip_reasons(name, fresh),
+        baseline, fresh, bench.tracked,
+        skip_reasons=compare_bench.scaling_skip_reasons(bench, fresh),
     )
-    print(compare_bench.format_rows(f"{name} vs committed baseline", rows))
+    print(compare_bench.format_rows(f"{bench.filename} vs committed baseline", rows))
     if any(row["regressed"] for row in rows):
         print("perf regression vs committed baseline (non-gating here; "
               "run compare_bench.py to gate)", file=sys.stderr)
 
 
 class Bench(NamedTuple):
-    """One bench: the record it writes, how to run it, its summary line."""
+    """One bench: the record it writes, how to run it, its summary line,
+    and the wall-clock metrics (dotted paths into the record) compared
+    against the committed baseline."""
 
     filename: str
     run: Callable[[], dict]
     summarise: Callable[[dict], str]
+    tracked: tuple[str, ...]
 
 
 #: Every bench, in the order of ``main``'s positional output paths.
 #: ``compare_bench.py`` re-runs the same table against its tracked metrics.
 BENCHES = (
-    Bench("BENCH_runtime.json", run_check, summarise_runtime),
-    Bench("BENCH_features.json", run_feature_check, summarise_features),
-    Bench("BENCH_lifecycle.json", run_lifecycle_check, summarise_lifecycle),
-    Bench("BENCH_fleet.json", run_fleet_check, summarise_fleet),
-    Bench("BENCH_training.json", run_training_check, summarise_training),
-    Bench("BENCH_scenarios.json", run_scenario_check, summarise_scenarios),
-    Bench("BENCH_dsos.json", run_dsos_check, summarise_dsos),
-    Bench("BENCH_serving.json", run_serving_check, summarise_serving),
-    Bench("BENCH_streaming.json", run_streaming_check, summarise_streaming),
+    Bench("BENCH_runtime.json", run_check, summarise_runtime, (
+        "serial.seconds",
+        "warm_cache.seconds",
+    )),
+    Bench("BENCH_features.json", run_feature_check, summarise_features, (
+        "full_set.new_seconds",
+        "expensive_tier.new_seconds",
+        "parallel_fallback.engine_seconds",
+        "microbatch.batched_seconds",
+    )),
+    Bench("BENCH_lifecycle.json", run_lifecycle_check, summarise_lifecycle, (
+        "drift_overhead.bare_ms_per_window",
+        "drift_overhead.lifecycle_ms_per_window",
+    )),
+    Bench("BENCH_fleet.json", run_fleet_check, summarise_fleet, (
+        "workers_1.seconds",
+        "workers_2.seconds",
+        "workers_4.seconds",
+    )),
+    Bench("BENCH_training.json", run_training_check, summarise_training, (
+        "training.fast_seconds",
+        "explain.batched_series_seconds",
+    )),
+    Bench("BENCH_scenarios.json", run_scenario_check, summarise_scenarios, (
+        "simulate.seconds",
+        "load.seconds",
+        "score.seconds",
+    )),
+    Bench("BENCH_dsos.json", run_dsos_check, summarise_dsos, (
+        "ingest.hist_seconds",
+        "query.p99_ms",
+        "compaction.seconds",
+    )),
+    Bench("BENCH_serving.json", run_serving_check, summarise_serving, (
+        "cache.cold_seconds",
+        "replay.wall_seconds",
+    )),
+    Bench("BENCH_streaming.json", run_streaming_check, summarise_streaming, (
+        "nodes_1.rolling_seconds",
+        "nodes_8.rolling_seconds",
+        "nodes_64.rolling_seconds",
+    )),
 )
 
 
@@ -1720,7 +1763,7 @@ def main(argv: list[str] | None = None) -> int:
         out_path = Path(argv[i]) if i < len(argv) else REPO_ROOT / bench.filename
         baseline = json.loads(out_path.read_text()) if out_path.exists() else None
         fresh = _write_report(out_path, bench.run, bench.summarise)
-        _diff_vs_baseline(compare_bench, bench.filename, baseline, fresh)
+        _diff_vs_baseline(compare_bench, bench, baseline, fresh)
     return 0
 
 

@@ -14,10 +14,11 @@ Run standalone it **gates** — exit 1 on any regression::
 fresh report, diffing against the previously committed baseline
 (non-gating there: check_perf's contract is to always produce records).
 
-Only wall-clock metrics are tracked; ratios (speedups, hit rates) are
-covered by the bench scripts' own assertions.  Fleet scaling metrics
-(``workers_N.seconds``) are skipped with an explicit reason when the
-measuring host has fewer than N CPUs — see :func:`scaling_skip_reasons`.
+Only wall-clock metrics are tracked, each bench's listed on its
+``check_perf.BENCHES`` row (``Bench.tracked``); ratios (speedups, hit
+rates) are covered by the bench scripts' own assertions.  Fleet scaling
+metrics (``workers_N.seconds``) are skipped with an explicit reason when
+the measuring host has fewer than N CPUs — see :func:`scaling_skip_reasons`.
 """
 
 from __future__ import annotations
@@ -32,53 +33,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Fresh-vs-baseline wall-clock ratio above which a metric counts as regressed.
 REGRESSION_THRESHOLD = 1.2
 
-#: Wall-clock metrics tracked per baseline file (dotted paths into the JSON).
-#: Every file needs a row in ``check_perf.BENCHES``, which runs it.
-TRACKED_METRICS = {
-    "BENCH_runtime.json": (
-        "serial.seconds",
-        "warm_cache.seconds",
-    ),
-    "BENCH_features.json": (
-        "full_set.new_seconds",
-        "expensive_tier.new_seconds",
-        "parallel_fallback.engine_seconds",
-        "microbatch.batched_seconds",
-    ),
-    "BENCH_lifecycle.json": (
-        "drift_overhead.bare_ms_per_window",
-        "drift_overhead.lifecycle_ms_per_window",
-    ),
-    "BENCH_fleet.json": (
-        "workers_1.seconds",
-        "workers_2.seconds",
-        "workers_4.seconds",
-    ),
-    "BENCH_training.json": (
-        "training.fast_seconds",
-        "explain.batched_series_seconds",
-    ),
-    "BENCH_scenarios.json": (
-        "simulate.seconds",
-        "load.seconds",
-        "score.seconds",
-    ),
-    "BENCH_dsos.json": (
-        "ingest.hist_seconds",
-        "query.p99_ms",
-        "compaction.seconds",
-    ),
-    "BENCH_serving.json": (
-        "cache.cold_seconds",
-        "replay.wall_seconds",
-    ),
-    "BENCH_streaming.json": (
-        "nodes_1.rolling_seconds",
-        "nodes_8.rolling_seconds",
-        "nodes_64.rolling_seconds",
-    ),
-}
-
 
 def extract_metric(payload: dict, dotted: str) -> float | None:
     """Resolve a dotted path into a numeric leaf, or None if absent."""
@@ -90,8 +44,8 @@ def extract_metric(payload: dict, dotted: str) -> float | None:
     return float(node) if isinstance(node, (int, float)) else None
 
 
-def scaling_skip_reasons(filename: str, fresh: dict) -> dict[str, str]:
-    """Metric paths whose wall-clock diff is meaningless on this host.
+def scaling_skip_reasons(bench, fresh: dict) -> dict[str, str]:
+    """Tracked paths of a ``check_perf.BENCHES`` row that this host cannot time.
 
     Fleet scaling wall-clock at N workers is only comparable when the
     measuring host actually has N CPUs: on a cpu-starved runner the
@@ -100,11 +54,11 @@ def scaling_skip_reasons(filename: str, fresh: dict) -> dict[str, str]:
     starved baseline).  Those metrics are skipped with an explicit
     recorded reason rather than silently gated either way.
     """
-    if filename != "BENCH_fleet.json":
+    if bench.filename != "BENCH_fleet.json":
         return {}
     cpus = int(fresh.get("cpu_count") or 1)
     reasons = {}
-    for path in TRACKED_METRICS[filename]:
+    for path in bench.tracked:
         match = re.match(r"workers_(\d+)\.", path)
         if match and int(match.group(1)) > cpus:
             reasons[path] = (
@@ -185,9 +139,6 @@ def main(argv: list[str] | None = None) -> int:
     failed: list[str] = []
     for bench in check_perf.BENCHES:
         filename = bench.filename
-        paths = TRACKED_METRICS.get(filename)
-        if paths is None:
-            continue
         baseline_path = REPO_ROOT / filename
         if not baseline_path.exists():
             print(f"{filename}: no committed baseline, skipping")
@@ -205,8 +156,8 @@ def main(argv: list[str] | None = None) -> int:
             failed.append(filename)
             continue
         rows = compare_payloads(
-            baseline, fresh, paths, threshold,
-            skip_reasons=scaling_skip_reasons(filename, fresh),
+            baseline, fresh, bench.tracked, threshold,
+            skip_reasons=scaling_skip_reasons(bench, fresh),
         )
         print(format_rows(f"{filename} (threshold {threshold:.2f}x)", rows))
         regressed |= any(row["regressed"] for row in rows)

@@ -24,8 +24,8 @@ from pathlib import Path
 
 from repro.anomalies import MemLeak
 from repro.core import ProdigyDetector
-from repro.dsos import DsosStore
 from repro.features import FeatureExtractor
+from repro.hist import HistStore
 from repro.monitoring import Aggregator, FaultModel
 from repro.pipeline import (
     AnomalyDetectorService,
@@ -40,10 +40,10 @@ from repro.workloads import ECLIPSE, ECLIPSE_APPS, JobRunner, JobSpec, default_c
 SEED = 11
 
 
-def collect_telemetry(catalog) -> tuple[DsosStore, dict, int]:
+def collect_telemetry(catalog, store_dir: Path) -> tuple[HistStore, dict, int]:
     """Run a monitored campaign; returns (store, ground truth, anomalous job)."""
     runner = JobRunner(ECLIPSE, catalog=catalog, seed=SEED)
-    store = DsosStore()
+    store = HistStore(store_dir)
     aggregator = Aggregator(
         catalog,
         store,
@@ -123,10 +123,9 @@ def serve_online(generator, artifact_dir: Path, healthy_references, bad_job: int
 
 def main() -> None:
     catalog = default_catalog()
-    print("collecting telemetry (LDMS samplers -> aggregator -> DSOS)...")
-    store, labels, bad_job = collect_telemetry(catalog)
-
     with tempfile.TemporaryDirectory() as tmp:
+        print("collecting telemetry (LDMS samplers -> aggregator -> DSOS)...")
+        store, labels, bad_job = collect_telemetry(catalog, Path(tmp) / "dsos")
         artifact_dir = Path(tmp) / "prodigy_deployment"
         print("offline training (DataGenerator -> DataPipeline -> ModelTrainer)...")
         generator, healthy_refs = train_offline(store, labels, catalog, artifact_dir)

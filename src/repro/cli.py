@@ -258,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--json", action="store_true", help="emit JSON instead of tables")
 
     ds = sub.add_parser(
-        "dsos", parents=[runtime_opts],
-        help="columnar historical store (segments, tiers, mmap queries)",
+        "dsos", help="columnar historical store (segments, tiers, mmap queries)",
     )
     ds.add_argument(
         "action", choices=["ingest", "compact", "query", "stats"],

@@ -53,8 +53,8 @@ class _FusedTrainer:
     intermediate of the ELBO step, so a training step performs zero
     allocations after warm-up.  Every kernel reproduces the floating-point
     operations of :meth:`VAE.train_step` in the same order, which keeps
-    fixed-seed training bit-identical to the frozen
-    :class:`repro.nn.reference.ReferenceVAETrainer`.
+    fixed-seed training bit-identical to the frozen ``ReferenceVAETrainer``
+    (``tests/oracles/nn.py``).
     """
 
     def __init__(self, model: "VAE"):
@@ -366,8 +366,8 @@ class VAE:
         Runs on the fused fast path: preallocated kernels
         (:class:`_FusedTrainer`), hoisted parameter/gradient dicts, and the
         shared :class:`~repro.nn.minibatch.MinibatchIterator` — bit-identical
-        for a fixed seed to the frozen
-        :class:`repro.nn.reference.ReferenceVAETrainer` (pinned by tests).
+        for a fixed seed to the frozen ``ReferenceVAETrainer`` in
+        ``tests/oracles/nn.py`` (pinned by tests).
         Each epoch is recorded as one ``train_epoch`` instrumentation stage.
         """
         x = check_matrix(x, name="X")

@@ -21,7 +21,8 @@ batching keep extraction tractable in pure Python:
 The expensive tier (approximate/sample entropy, permutation entropy,
 Lempel-Ziv complexity) is vectorised across the N axis — no kernel loops
 over rows in Python.  The frozen pre-vectorization implementations live in
-:mod:`repro.features.reference` for parity testing and benchmarking.
+the test oracles (``tests/oracles/features.py``) for parity testing and
+benchmarking.
 
 Degenerate inputs (constant series, zero variance) yield well-defined
 finite values (0.0 by convention) rather than NaN, so downstream scalers

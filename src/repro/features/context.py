@@ -12,7 +12,7 @@ Bit-compatibility is a hard requirement: cached intermediates are produced
 by the *same NumPy call sequences* the standalone kernels used (e.g.
 ``std`` is ``values.std(axis=1)``, not ``sqrt(m2)``), so context-backed
 cheap-tier features are bit-identical to the frozen references in
-:mod:`repro.features.reference`.
+``tests/oracles/features.py``.
 
 The entropy profile (the shared core of approximate and sample entropy)
 is the one genuinely new kernel: both features need Chebyshev distances

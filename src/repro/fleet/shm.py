@@ -183,10 +183,6 @@ class ChunkRing:
     def __len__(self) -> int:
         return self.head - self.tail
 
-    @property
-    def free_slots(self) -> int:
-        return self.spec.chunk_slots - len(self)
-
     def try_push(
         self, chunk: NodeSeries, schema_idx: int, seq: int, ctl_seq: int = 0
     ) -> bool:

@@ -1,11 +1,11 @@
-"""Columnar, time-partitioned historical telemetry store.
+"""Columnar, time-partitioned telemetry store — the deployment's DSOS.
 
-Drop-in for :class:`repro.dsos.DsosStore` (same ingest/query surface,
-bit-identical query results) built for millions-of-rows history: immutable
+The paper's DataGenerator reads DSOS; here :class:`HistStore` serves that
+ingest/query surface, built for millions-of-rows history: immutable
 mmap-read segments with zone maps, typed cumulative/delta/gauge meters
-driving compression and downsampling, retention tiers, and a
-runtime-pooled parallel segment scanner.  See DESIGN.md "Historical
-store".
+driving compression and downsampling, and retention tiers.  Its queries
+are bit-identical to the legacy in-process store kept as the parity oracle
+(``tests/oracles/dsos.py``).  See DESIGN.md "Historical store".
 """
 
 from repro.hist.feeds import (
@@ -16,9 +16,8 @@ from repro.hist.feeds import (
 )
 from repro.hist.meters import CUMULATIVE, DELTA, GAUGE, resolve_meters
 from repro.hist.retention import RetentionPolicy, TIER_RAW, TIERS
-from repro.hist.scanner import ParallelSegmentScanner
 from repro.hist.segment import Segment, write_segment
-from repro.hist.store import HistContainer, HistStore
+from repro.hist.store import HistContainer, HistStore, Schema
 
 __all__ = [
     "CUMULATIVE",
@@ -26,8 +25,8 @@ __all__ = [
     "GAUGE",
     "HistContainer",
     "HistStore",
-    "ParallelSegmentScanner",
     "RetentionPolicy",
+    "Schema",
     "Segment",
     "TIERS",
     "TIER_RAW",

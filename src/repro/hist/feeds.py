@@ -11,9 +11,8 @@ consumers the ROADMAP names:
   per-node :class:`~repro.telemetry.frame.NodeSeries` from a historical
   time window, ready for a
   :class:`~repro.lifecycle.retraining.HealthySampleBuffer`.  It reuses the
-  :class:`~repro.pipeline.datagenerator.DataGenerator` unchanged — the
-  store satisfies the same query protocol as the legacy ``DsosStore`` —
-  over a :class:`WindowedStoreView` that pins the time bounds;
+  :class:`~repro.pipeline.datagenerator.DataGenerator` unchanged, over a
+  :class:`WindowedStoreView` that pins the time bounds;
 * **dashboards** — :func:`dashboard_rollup` summarises a window per
   sampler/metric from a downsampled tier, count-weighted so bucket means
   aggregate honestly.

@@ -1,10 +1,10 @@
-"""HistStore — columnar, time-partitioned drop-in for :class:`DsosStore`.
+"""HistStore — the columnar, time-partitioned telemetry store.
 
-Same interface as the legacy in-process store (``ingest``/``query``/
-``jobs``/``components``/``samplers``/``register_schema``, i.e. the
-:class:`~repro.monitoring.aggregator.TelemetrySink` protocol and the query
-surface :class:`~repro.pipeline.datagenerator.DataGenerator` consumes),
-different substrate:
+Its surface is the one the paper's DSOS deployment offers (``ingest``/
+``query``/``jobs``/``components``/``samplers``/``register_schema``, i.e.
+the :class:`~repro.monitoring.aggregator.TelemetrySink` protocol and the
+query surface :class:`~repro.pipeline.datagenerator.DataGenerator`
+consumes); its substrate is built for long history:
 
 * ingest copies each frame into the container's in-memory **memtable**,
   one contiguous block (the index columns plus one ``(rows, M)`` values
@@ -12,12 +12,11 @@ different substrate:
   needs; when it reaches ``flush_rows`` (or on :meth:`flush`), its rows
   are partitioned by ``segment_span``-second time windows and sealed as
   immutable columnar :mod:`segments <repro.hist.segment>`;
-* queries prune segments by zone map, scan survivors via the
-  runtime-pooled :class:`~repro.hist.scanner.ParallelSegmentScanner`,
-  filter the memtable block with one mask, and re-establish the legacy
-  row order with one ``(job, ingest-seq)`` sort — results are
-  **bit-identical** to ``DsosStore`` on the same ingest stream (the
-  acceptance oracle);
+* queries prune segments by zone map, scan the survivors in one serial
+  loop, filter the memtable block with one mask, and re-establish the
+  legacy row order with one ``(job, ingest-seq)`` sort — results are
+  **bit-identical** to the legacy in-process store (the parity oracle in
+  ``tests/oracles/dsos.py``) on the same ingest stream;
 * :meth:`~HistContainer.compact` builds the downsampled retention tiers
   (:mod:`repro.hist.retention`), queryable via ``query(..., tier=...)``.
   Every tier segment records the raw segments it was derived from
@@ -41,11 +40,11 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.dsos.store import Schema
 from repro.hist.meters import GAUGE, METER_KINDS, resolve_meters
 from repro.hist.retention import (
     COUNT_COLUMN,
@@ -54,17 +53,32 @@ from repro.hist.retention import (
     TIERS,
     downsample,
 )
-from repro.hist.scanner import ParallelSegmentScanner
 from repro.hist.segment import Segment, write_segment
 from repro.runtime.instrumentation import get_instrumentation
 from repro.telemetry.frame import TelemetryFrame
 from repro.telemetry.schema import MetricSchema, SchemaRegistry
 from repro.util.validation import check_ingest_timestamps
 
-__all__ = ["HistContainer", "HistStore"]
+__all__ = ["HistContainer", "HistStore", "Schema"]
 
 _SEGMENT_SUFFIX = ".seg"
 _MANIFEST = "manifest.json"
+
+
+@dataclass(frozen=True)
+class Schema:
+    """Attribute layout of one container (index columns + metric columns)."""
+
+    name: str
+    metric_names: tuple[str, ...]
+
+    INDEX_ATTRS = ("job_id", "component_id", "timestamp")
+
+    def __post_init__(self) -> None:
+        if not self.metric_names:
+            raise ValueError(f"schema {self.name!r} needs at least one metric")
+        if len(set(self.metric_names)) != len(self.metric_names):
+            raise ValueError(f"schema {self.name!r} has duplicate metrics")
 
 
 def _empty_frame(metric_names: tuple[str, ...]) -> TelemetryFrame:
@@ -92,14 +106,12 @@ class HistContainer:
         *,
         segment_span: float,
         flush_rows: int,
-        scanner: ParallelSegmentScanner,
         meters: dict[str, str] | None = None,
     ):
         self.schema = schema
         self.root = Path(root)
         self.segment_span = float(segment_span)
         self.flush_rows = int(flush_rows)
-        self.scanner = scanner
         self.meters: dict[str, str] = dict(meters or {})
         #: sealed segments per retention tier, in seal order
         self.segments: dict[str, list[Segment]] = {tier: [] for tier in TIERS}
@@ -278,7 +290,7 @@ class HistContainer:
         t1: float | None = None,
         tier: str = TIER_RAW,
     ) -> TelemetryFrame:
-        """Filtered rows in legacy order — bit-identical to ``DsosStore``.
+        """Filtered rows in legacy order — bit-identical to the DSOS oracle.
 
         The legacy store consolidates ingest-order blocks and stable-sorts
         by job, so its row order is ``(job_id, ingest position)``.  Every
@@ -292,9 +304,12 @@ class HistContainer:
             if tier == TIER_RAW or not self.segments[tier]
             else self.segments[tier][0].metric_names
         )
-        parts = self.scanner.scan(
-            self.segments[tier], job_id=job_id, component_id=component_id, t0=t0, t1=t1
-        )
+        filters = dict(job_id=job_id, component_id=component_id, t0=t0, t1=t1)
+        candidates = [s for s in self.segments[tier] if s.may_contain(**filters)]
+        parts = []
+        if candidates:
+            with get_instrumentation().stage("hist_scan", items=len(candidates)):
+                parts = [s.scan(**filters) for s in candidates]
         if tier == TIER_RAW:
             parts.extend(self._scan_memtable(job_id, component_id, t0, t1))
         parts = [p for p in parts if p["job_id"].size]
@@ -450,12 +465,12 @@ class HistContainer:
 
 
 class HistStore:
-    """The columnar historical database: one :class:`HistContainer` per sampler.
+    """The telemetry database: one :class:`HistContainer` per sampler.
 
     Implements the :class:`~repro.monitoring.aggregator.TelemetrySink`
-    protocol and the legacy ``DsosStore`` query surface, so aggregators,
-    the :class:`~repro.pipeline.datagenerator.DataGenerator`, drift
-    harvesting, and dashboards run against it unchanged.
+    protocol and the query surface that aggregators, the
+    :class:`~repro.pipeline.datagenerator.DataGenerator`, drift harvesting,
+    and dashboards read.
 
     Parameters
     ----------
@@ -490,7 +505,6 @@ class HistStore:
         self.segment_span = float(segment_span)
         self.flush_rows = int(flush_rows)
         self.schemas = SchemaRegistry()
-        self.scanner = ParallelSegmentScanner()
         self._meter_overrides = {k: dict(v) for k, v in (meters or {}).items()}
         self._containers: dict[str, HistContainer] = {}
         if self.root.is_dir():
@@ -508,7 +522,6 @@ class HistStore:
             sampler_dir,
             segment_span=self.segment_span,
             flush_rows=self.flush_rows,
-            scanner=self.scanner,
             meters=meters,
         )
         self._containers[schema.name] = container
@@ -581,7 +594,6 @@ class HistStore:
             self.root / schema.name,
             segment_span=self.segment_span,
             flush_rows=self.flush_rows,
-            scanner=self.scanner,
             meters=resolve_meters(
                 schema.metric_names,
                 registry=self.schemas,

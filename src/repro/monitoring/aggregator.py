@@ -7,7 +7,7 @@ aggregated stream is ingested into the DSOS database.
 
 :class:`Aggregator` performs that hop in simulation — per-sampler fault
 injection, then ingestion of long-format rows into any store exposing an
-``ingest(sampler, frame)`` method (see :mod:`repro.dsos`).
+``ingest(sampler, frame)`` method (see :mod:`repro.hist`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ __all__ = ["TelemetrySink", "Aggregator"]
 
 
 class TelemetrySink(Protocol):
-    """Destination for aggregated telemetry (implemented by DsosStore)."""
+    """Destination for aggregated telemetry (implemented by HistStore)."""
 
     def ingest(self, sampler: str, frame: TelemetryFrame) -> int: ...
 
@@ -38,7 +38,7 @@ class Aggregator:
     catalog:
         Metric catalog shared with the job runner.
     sink:
-        Ingestion target (e.g. :class:`repro.dsos.DsosStore`).
+        Ingestion target (e.g. :class:`repro.hist.HistStore`).
     faults:
         Collection fault model; defaults to light, realistic loss rates.
     seed:

@@ -5,7 +5,7 @@ two per-parameter scratch buffers are preallocated on first sight of each
 parameter, and every update is an ``out=``/augmented-assignment kernel —
 zero allocations per step.  The floating-point operations and their order
 are unchanged from the allocating originals (frozen in
-:mod:`repro.nn.reference`), so training trajectories are bit-identical.
+``tests/oracles/nn.py``), so training trajectories are bit-identical.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ feature pipeline.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.dsos.store import DsosStore
 from repro.telemetry.frame import NodeSeries
 from repro.telemetry.preprocessing import (
     align_common_timestamps,
@@ -21,6 +22,9 @@ from repro.telemetry.preprocessing import (
     trim_edges,
 )
 from repro.workloads.metrics import MetricCatalog
+
+if TYPE_CHECKING:
+    from repro.hist.store import HistStore
 
 __all__ = ["DataGenerator"]
 
@@ -38,7 +42,7 @@ class DataGenerator:
         Transient trim at each end of a run (paper: 60 s).
     """
 
-    def __init__(self, store: DsosStore, catalog: MetricCatalog, *, trim_seconds: float = 60.0):
+    def __init__(self, store: HistStore, catalog: MetricCatalog, *, trim_seconds: float = 60.0):
         self.store = store
         self.catalog = catalog
         self.trim_seconds = trim_seconds

@@ -67,18 +67,6 @@ class AnomalyDetectorService:
         """Attach a LifecycleManager after construction."""
         self.lifecycle = manager
 
-    def as_fleet(self, **fleet_kwargs):
-        """A :class:`~repro.fleet.coordinator.FleetCoordinator` over this
-        deployment — the scale-out path from one served detector to a
-        sharded worker pool.  The service's pipeline, detector, and
-        lifecycle manager carry over; ``fleet_kwargs`` are forwarded
-        (``n_workers``, ``queue_capacity``, ``stream_kwargs``, ...).
-        """
-        from repro.fleet.coordinator import FleetCoordinator
-
-        fleet_kwargs.setdefault("lifecycle", self.lifecycle)
-        return FleetCoordinator(self.pipeline, self.detector, **fleet_kwargs)
-
     def runtime_stats(self) -> dict:
         """Engine/cache/stage snapshot of the service's extraction runtime."""
         stats = self.pipeline.engine.stats()

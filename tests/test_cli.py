@@ -478,7 +478,7 @@ class TestDsosCommand:
         """The CLI store path preserves the bit-parity oracle end to end."""
         import numpy as np
 
-        from repro.dsos import DsosStore
+        from oracles.dsos import DsosStore
         from repro.hist import HistStore
         from repro.telemetry.io import read_csv
 
@@ -519,6 +519,13 @@ class TestDsosCommand:
         rc = main(["dsos", "stats", "--store", str(tmp_path / "nothing")])
         assert rc == 2
         assert "empty" in capsys.readouterr().err
+
+    def test_runtime_flags_rejected(self, tmp_path, capsys):
+        # No dsos action extracts features, so none takes the runtime flags.
+        with pytest.raises(SystemExit) as exc:
+            main(["dsos", "stats", "--store", str(tmp_path / "s"), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_unknown_sampler_one_line_error(self, populated, capsys):
         store, _ = populated

@@ -1,10 +1,17 @@
-"""Tests for the DSOS-equivalent store."""
+"""Tests for the store-level contract and the legacy DSOS oracle.
+
+The :class:`Container` tests pin the oracle in ``tests/oracles/dsos.py``;
+the store-level contract runs on both the oracle and the production
+:class:`~repro.hist.HistStore`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.dsos import Container, DsosStore, Schema
+from repro.hist import HistStore, Schema
 from repro.telemetry import NodeSeries, TelemetryFrame
+
+from oracles.dsos import Container, DsosStore
 
 
 def frame_for(job, comp, t0, n, metrics=("a", "b")):
@@ -130,37 +137,43 @@ class TestContainer:
 
 
 class TestDsosStore:
-    def test_ingest_creates_container(self):
-        store = DsosStore()
+    @pytest.fixture
+    def store(self):
+        return DsosStore()
+
+    def test_ingest_creates_container(self, store):
         store.ingest("meminfo", frame_for(1, 10, 0, 5))
         assert store.samplers == ("meminfo",)
         assert store.n_rows == 5
 
-    def test_duplicate_container_rejected(self):
-        store = DsosStore()
+    def test_duplicate_container_rejected(self, store):
         store.create_container(Schema("s", ("a",)))
         with pytest.raises(ValueError, match="exists"):
             store.create_container(Schema("s", ("a",)))
 
-    def test_unknown_container(self):
-        store = DsosStore()
+    def test_unknown_container(self, store):
         with pytest.raises(KeyError, match="available"):
             store.query("nvml")
 
-    def test_jobs_across_containers(self):
-        store = DsosStore()
+    def test_jobs_across_containers(self, store):
         store.ingest("m1", frame_for(1, 10, 0, 3))
         store.ingest("m2", frame_for(2, 10, 0, 3))
         np.testing.assert_array_equal(store.jobs(), [1, 2])
 
-    def test_components_union(self):
-        store = DsosStore()
+    def test_components_union(self, store):
         store.ingest("m1", frame_for(1, 10, 0, 3))
         store.ingest("m2", frame_for(1, 11, 0, 3))
         np.testing.assert_array_equal(store.components(1), [10, 11])
 
-    def test_empty_store(self):
-        store = DsosStore()
+    def test_empty_store(self, store):
         assert store.jobs().size == 0
         assert store.components(1).size == 0
         assert store.n_rows == 0
+
+
+class TestHistStoreContract(TestDsosStore):
+    """The same store-level contract on the production store."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        return HistStore(tmp_path / "store")

@@ -33,12 +33,13 @@ from repro.features.extraction import (
     compute_block,
     compute_block_columns,
 )
-from repro.features.reference import reference_full_calculators
 from repro.monitoring import StreamingDetector
 from repro.runtime import ExecutionConfig, Instrumentation, ParallelExtractor
 from repro.runtime.cache import extractor_signature
 from repro.runtime.parallel import plan_chunks
 from repro.telemetry import NodeSeries
+
+from oracles.features import reference_full_calculators
 
 # -- parity vs frozen reference kernels ----------------------------------------
 
@@ -155,9 +156,7 @@ class TestCalculatorParity:
     )
     def test_lempel_ziv_lockstep_edges(self, bits):
         from repro.features.calculators import _lempel_ziv_complexity
-        from repro.features.reference import (
-            _lempel_ziv_complexity as ref_lz,
-        )
+        from oracles.features import _lempel_ziv_complexity as ref_lz
 
         got = np.asarray(_lempel_ziv_complexity(bits))
         expected = np.asarray(ref_lz(bits))
@@ -477,7 +476,6 @@ class TestCompareBench:
 
         files = [bench.filename for bench in check_perf.BENCHES]
         assert len(set(files)) == len(files)
-        assert set(self.cb.TRACKED_METRICS) <= set(files)
 
     def test_check_perf_writes_positional_paths_in_table_order(self, tmp_path, monkeypatch):
         import json
@@ -486,7 +484,7 @@ class TestCompareBench:
 
         monkeypatch.setattr(sys, "path", list(sys.path))
         monkeypatch.setattr(check_perf, "BENCHES", tuple(
-            check_perf.Bench(f"BENCH_fake{i}.json", lambda i=i: {"i": i}, lambda r: "")
+            check_perf.Bench(f"BENCH_fake{i}.json", lambda i=i: {"i": i}, lambda r: "", ())
             for i in range(2)
         ))
         outs = [tmp_path / "first.json", tmp_path / "second.json"]
@@ -505,16 +503,17 @@ class TestCompareBench:
 
         monkeypatch.setattr(sys, "path", list(sys.path))
         monkeypatch.setattr(self.cb, "REPO_ROOT", tmp_path)
-        monkeypatch.setattr(self.cb, "TRACKED_METRICS", {
-            "BENCH_first.json": ("t.seconds",),
-            "BENCH_second.json": ("t.seconds",),
-        })
-        for name in self.cb.TRACKED_METRICS:
-            (tmp_path / name).write_text(json.dumps({"ok": True, "t": {"seconds": 1.0}}))
-        monkeypatch.setattr(check_perf, "BENCHES", (
-            check_perf.Bench("BENCH_first.json", below_floor, lambda r: ""),
-            check_perf.Bench("BENCH_second.json", lambda: {"t": {"seconds": 1.0}}, lambda r: ""),
-        ))
+        benches = (
+            check_perf.Bench("BENCH_first.json", below_floor, lambda r: "", ("t.seconds",)),
+            check_perf.Bench(
+                "BENCH_second.json", lambda: {"t": {"seconds": 1.0}}, lambda r: "", ("t.seconds",)
+            ),
+        )
+        for bench in benches:
+            (tmp_path / bench.filename).write_text(
+                json.dumps({"ok": True, "t": {"seconds": 1.0}})
+            )
+        monkeypatch.setattr(check_perf, "BENCHES", benches)
         assert self.cb.main(["1.2"]) == 1
         out = capsys.readouterr().out
         assert "BENCH_first.json: FAILED — speedup 1.47x below its 1.5x floor" in out
@@ -524,12 +523,14 @@ class TestCompareBench:
     def test_tracked_metrics_resolve_in_committed_baselines(self):
         import json
 
+        import check_perf
+
         repo = Path(__file__).resolve().parent.parent
-        for filename, paths in self.cb.TRACKED_METRICS.items():
-            payload = json.loads((repo / filename).read_text())
+        for bench in check_perf.BENCHES:
+            payload = json.loads((repo / bench.filename).read_text())
             if not payload.get("ok"):
                 continue
-            for path in paths:
+            for path in bench.tracked:
                 assert self.cb.extract_metric(payload, path) is not None, (
-                    filename, path,
+                    bench.filename, path,
                 )

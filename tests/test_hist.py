@@ -2,20 +2,18 @@
 
 The load-bearing property is the acceptance oracle: every query against a
 :class:`HistStore` must be **bit-identical** to the legacy
-:class:`DsosStore` fed the same ingest stream — same rows, same order,
-same float bits.  The parity helpers here assert exactly that.
+:class:`~oracles.dsos.DsosStore` fed the same ingest stream — same rows,
+same order, same float bits.  The parity helpers here assert exactly that.
 """
 
 import numpy as np
 import pytest
 
-from repro.dsos import DsosStore
 from repro.hist import (
     CUMULATIVE,
     DELTA,
     GAUGE,
     HistStore,
-    ParallelSegmentScanner,
     RetentionPolicy,
     Segment,
     WindowedStoreView,
@@ -28,9 +26,10 @@ from repro.hist import (
 from repro.hist.retention import COUNT_COLUMN
 from repro.hist.segment import decode_column, encode_column
 from repro.hist.store import HistContainer
-from repro.runtime import ExecutionConfig
 from repro.telemetry import NodeSeries, TelemetryFrame
 from repro.telemetry.schema import COUNTER, MetricField, MetricSchema
+
+from oracles.dsos import DsosStore
 
 
 def frame_for(job, comp, t0, n, metrics=("a", "b"), rng=None):
@@ -445,30 +444,6 @@ class TestIngestValidation:
             HistStore(tmp_path / "h", segment_span=0)
         with pytest.raises(ValueError, match="flush_rows"):
             HistStore(tmp_path / "h", flush_rows=0)
-
-
-class TestScanner:
-    def test_parallel_matches_serial(self, tmp_path):
-        hist = HistStore(tmp_path / "hist", segment_span=4.0)
-        rng = np.random.default_rng(13)
-        for job in range(1, 5):
-            hist.ingest("samp", frame_for(job, 10, 0.0, 40, rng=rng))
-        hist.flush()
-        segs = hist.container("samp").segments["raw"]
-        assert len(segs) >= 4
-        serial = ParallelSegmentScanner(config=ExecutionConfig(n_workers=1))
-        parallel = ParallelSegmentScanner(config=ExecutionConfig(n_workers=4))
-        went_parallel = False
-        for filters in FILTERS:
-            a = serial.scan(segs, **{k: filters.get(k) for k in ("job_id", "component_id", "t0", "t1")})
-            b = parallel.scan(segs, **{k: filters.get(k) for k in ("job_id", "component_id", "t0", "t1")})
-            assert serial.last_mode == "serial"
-            went_parallel |= parallel.last_mode == "parallel"
-            assert len(a) == len(b)
-            for pa, pb in zip(a, b):
-                assert np.array_equal(pa["values"], pb["values"], equal_nan=True)
-                np.testing.assert_array_equal(pa["seq"], pb["seq"])
-        assert went_parallel
 
 
 class TestRetentionTiers:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.anomalies import MemBandwidth
 from repro.core import Prodigy
-from repro.dsos import DsosStore
+from repro.hist import HistStore
 from repro.monitoring import Aggregator, FaultModel
 from repro.pipeline import DataGenerator
 from repro.telemetry import read_csv, write_csv
@@ -18,7 +18,7 @@ from repro.workloads import ECLIPSE_APPS, JobRunner, JobSpec, VOLTA
 
 
 @pytest.fixture(scope="module")
-def campaign(catalog):
+def campaign(catalog, tmp_path_factory):
     runner = JobRunner(VOLTA, catalog=catalog, seed=21)
     specs = []
     for j in range(1, 7):
@@ -28,7 +28,7 @@ def campaign(catalog):
                     anomalies=anomalies)
         )
     results = runner.run_campaign(specs)
-    store = DsosStore()
+    store = HistStore(tmp_path_factory.mktemp("store"))
     Aggregator(
         catalog, store,
         faults=FaultModel(row_drop_prob=0.01, value_drop_prob=0.005), seed=3,

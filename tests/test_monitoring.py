@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dsos import DsosStore
+from repro.hist import HistStore
 from repro.monitoring import Aggregator, FaultModel, SamplerDaemon
 from repro.telemetry import NodeSeries
 from repro.workloads import ECLIPSE_APPS, JobRunner, JobSpec, VOLTA
@@ -91,10 +91,10 @@ class TestSamplerDaemon:
 
 
 class TestAggregator:
-    def test_collect_job_ingests_all_samplers(self, catalog):
+    def test_collect_job_ingests_all_samplers(self, catalog, tmp_path):
         runner = JobRunner(VOLTA, catalog=catalog, seed=0)
         result = runner.run(JobSpec(job_id=1, app=ECLIPSE_APPS["sw4"], n_nodes=2, duration_s=40))
-        store = DsosStore()
+        store = HistStore(tmp_path / "store")
         agg = Aggregator(catalog, store, faults=FaultModel.NONE, seed=0)
         rows = agg.collect_job(result)
         # 2 nodes x 40 s x 3 samplers
@@ -102,7 +102,7 @@ class TestAggregator:
         assert set(store.samplers) == set(catalog.samplers())
         np.testing.assert_array_equal(store.components(1), sorted(result.component_ids))
 
-    def test_collect_campaign_accumulates(self, catalog):
+    def test_collect_campaign_accumulates(self, catalog, tmp_path):
         runner = JobRunner(VOLTA, catalog=catalog, seed=0)
         results = runner.run_campaign(
             [
@@ -110,15 +110,15 @@ class TestAggregator:
                 for i in range(3)
             ]
         )
-        store = DsosStore()
+        store = HistStore(tmp_path / "store")
         agg = Aggregator(catalog, store, faults=FaultModel.NONE, seed=0)
         agg.collect_campaign(results)
         np.testing.assert_array_equal(store.jobs(), [0, 1, 2])
 
-    def test_faults_applied_per_sampler(self, catalog):
+    def test_faults_applied_per_sampler(self, catalog, tmp_path):
         runner = JobRunner(VOLTA, catalog=catalog, seed=0)
         result = runner.run(JobSpec(job_id=1, app=ECLIPSE_APPS["lammps"], n_nodes=1, duration_s=60))
-        store = DsosStore()
+        store = HistStore(tmp_path / "store")
         agg = Aggregator(
             catalog, store, faults=FaultModel(row_drop_prob=0.2, value_drop_prob=0.0), seed=0
         )

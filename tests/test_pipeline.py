@@ -6,8 +6,8 @@ import pytest
 
 from repro.anomalies import MemLeak
 from repro.core import ProdigyDetector
-from repro.dsos import DsosStore
 from repro.features import FeatureExtractor
+from repro.hist import HistStore
 from repro.monitoring import Aggregator, FaultModel
 from repro.pipeline import (
     AnomalyDetectorService,
@@ -21,7 +21,7 @@ from repro.workloads import ECLIPSE_APPS, JobRunner, JobSpec, VOLTA
 
 
 @pytest.fixture(scope="module")
-def populated_store(catalog):
+def populated_store(catalog, tmp_path_factory):
     """A store fed through the full monitoring path: 4 jobs, 1 with memleak."""
     runner = JobRunner(VOLTA, catalog=catalog, seed=1)
     specs = [
@@ -38,7 +38,7 @@ def populated_store(catalog):
         )
     )
     results = runner.run_campaign(specs)
-    store = DsosStore()
+    store = HistStore(tmp_path_factory.mktemp("store"))
     agg = Aggregator(
         catalog, store, faults=FaultModel(row_drop_prob=0.02, value_drop_prob=0.01), seed=2
     )

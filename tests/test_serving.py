@@ -5,7 +5,7 @@ import pytest
 
 from repro.anomalies import MemLeak
 from repro.core import ProdigyDetector
-from repro.dsos import DsosStore
+from repro.hist import HistStore
 from repro.monitoring import Aggregator, FaultModel
 from repro.pipeline import AnomalyDetectorService, DataGenerator, DataPipeline
 from repro.serving import AnalyticsService, render_anomaly_dashboard, render_table
@@ -14,7 +14,7 @@ from repro.workloads import ECLIPSE_APPS, JobRunner, JobSpec, VOLTA
 
 
 @pytest.fixture(scope="module")
-def analytics(catalog, tiny_extractor):
+def analytics(catalog, tiny_extractor, tmp_path_factory):
     """A deployed analytics service over a small monitored campaign."""
     runner = JobRunner(VOLTA, catalog=catalog, seed=5)
     specs = [
@@ -28,7 +28,7 @@ def analytics(catalog, tiny_extractor):
         )
     )
     results = runner.run_campaign(specs)
-    store = DsosStore()
+    store = HistStore(tmp_path_factory.mktemp("store"))
     Aggregator(catalog, store, faults=FaultModel.NONE, seed=0).collect_campaign(results)
     gen = DataGenerator(store, catalog, trim_seconds=10)
 

@@ -1,7 +1,7 @@
 """Training fast-path parity: fused kernels, in-place Adam, minibatch pipeline.
 
 The fast path's contract is *bit-identical* training against the frozen
-pre-optimization stack in :mod:`repro.nn.reference`.  These tests pin that
+pre-optimization stack in :mod:`oracles.nn`.  These tests pin that
 contract at every level: fused forward/backward vs the unfused layers and
 vs finite differences, the in-place optimizers vs their allocating
 originals, parameter packing, the shared minibatch iterator's RNG stream,
@@ -15,11 +15,8 @@ from repro.nn import ACTIVATIONS, Activation, Adam, Dense, SGD, mlp
 from repro.nn.fused import FusedDenseActivation, fuse, pack_parameters
 from repro.nn.gradcheck import max_relative_error, numerical_gradient
 from repro.nn.minibatch import MinibatchIterator
-from repro.nn.reference import (
-    ReferenceAdam,
-    ReferenceVAETrainer,
-    reference_mlp,
-)
+
+from oracles.nn import ReferenceAdam, ReferenceVAETrainer, reference_mlp
 
 
 def _fused_pair(act_name, rng, in_f=5, out_f=4):

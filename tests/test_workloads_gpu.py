@@ -27,7 +27,8 @@ from repro.workloads.metrics import (
     MetricSynthesizer,
     zero_drivers,
 )
-from repro.workloads.reference import PreRefactorSynthesizer
+
+from oracles.workloads import PreRefactorSynthesizer
 
 
 @pytest.fixture(scope="module")
