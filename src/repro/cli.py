@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     runtime_opts = argparse.ArgumentParser(add_help=False)
     runtime_opts.add_argument(
         "--workers", type=int, default=None,
-        help="extraction worker processes (default: PRODIGY_WORKERS or 1)",
+        help="feature-extraction threads (default: PRODIGY_WORKERS or the usable CPUs)",
     )
     runtime_opts.add_argument(
         "--cache-size", type=int, default=None,
@@ -707,7 +707,6 @@ def cmd_runtime(args: argparse.Namespace) -> int:
     detector.anomaly_score(pipeline.transform_series(series))
 
     stats = engine.stats()
-    engine.close()
     if args.json:
         print(json.dumps(stats, indent=2))
         return 0
@@ -720,13 +719,9 @@ def cmd_runtime(args: argparse.Namespace) -> int:
     plan = stats.get("scheduler")
     if plan is not None:
         sections.append((
-            "chunk scheduler",
-            ["mode", "reason", "workers (cfg/eff)", "cpus", "units"],
-            [[
-                plan["mode"], plan["reason"],
-                f"{plan['configured_workers']}/{plan['effective_workers']}",
-                plan["cpu_count"], plan.get("n_units", "-"),
-            ]],
+            "extraction threads",
+            ["mode", "workers", "groups"],
+            [[plan["mode"], plan["workers"], plan["groups"]]],
         ))
     cache = stats["cache"]
     if cache is not None:

@@ -141,7 +141,7 @@ def extract_dataset(
     """Feature-extract a campaign into a labeled SampleSet.
 
     Extraction routes through the runtime layer: pass an *engine* to share
-    a worker pool / feature cache across campaigns (re-runs over shared
+    its feature cache across campaigns (re-runs over shared
     datasets hit the cache), otherwise one is built from the process-wide
     :class:`~repro.runtime.config.ExecutionConfig`.
     """

@@ -44,8 +44,6 @@ from repro.features.context import MetricBlockContext, as_context
 __all__ = [
     "Calculator",
     "KERNEL_VERSION",
-    "COST_WEIGHTS",
-    "calculator_cost_weight",
     "calculator_set_digest",
     "default_calculators",
     "full_calculators",
@@ -56,24 +54,21 @@ __all__ = [
 #: before the change can never serve stale rows computed by old kernels.
 KERNEL_VERSION = 2
 
-#: Relative per-metric cost of one calculator by tier, used by the runtime
-#: layer's cost-aware chunk scheduler.  Calibrated on the check_perf feature
-#: workload (32 x 128 slabs): one expensive kernel costs roughly 25 cheap
-#: ones even after vectorisation.
-COST_WEIGHTS = {"cheap": 1.0, "moderate": 4.0, "expensive": 25.0}
-
-
 @dataclass(frozen=True)
 class Calculator:
     """One feature calculator.
 
     ``func`` maps ``(N, T) -> (N,)`` or ``(N, k)``; ``output_names`` has one
     entry per output column.  ``cost`` tags expensive kernels excluded from
-    the default set (mirroring TSFRESH's EfficientFCParameters) and weights
-    the parallel engine's chunk scheduling.  Context-aware calculators
-    (``uses_context=True``, all builtins) receive the slab's shared
-    :class:`MetricBlockContext`; plain ones (the default, so third-party
-    calculators keep working) receive the raw ``(N, T)`` array.
+    the default set (mirroring TSFRESH's EfficientFCParameters).
+    Context-aware calculators (``uses_context=True``, all builtins) receive
+    the shared :class:`MetricBlockContext`; plain ones (the default, so
+    third-party calculators keep working) receive the raw ``(N, T)`` array.
+
+    Calculators must be row-wise: row ``i`` of the output depends on row
+    ``i`` of the input alone.  Full extraction stacks several metric slabs
+    into one context and the selected-feature plan stacks series and
+    columns, so a row never knows which rows share its block.
     """
 
     name: str
@@ -99,11 +94,6 @@ class Calculator:
         if np.isfinite(out).all():
             return out
         return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
-
-
-def calculator_cost_weight(calc: Calculator) -> float:
-    """Scheduling weight of one calculator (unknown tiers priced as cheap)."""
-    return COST_WEIGHTS.get(calc.cost, COST_WEIGHTS["cheap"])
 
 
 def calculator_set_digest(calculators: Sequence[Calculator]) -> bytes:
@@ -401,12 +391,12 @@ def _benford_correlation(x) -> np.ndarray:
 
 
 def _quantiles(x, qs: Sequence[float]) -> np.ndarray:
-    return np.quantile(as_context(x).values, qs, axis=1).T
+    return as_context(x).quantiles(qs)
 
 
 def _iqr(x) -> np.ndarray:
-    v = as_context(x).values
-    return np.quantile(v, 0.75, axis=1) - np.quantile(v, 0.25, axis=1)
+    q = as_context(x).quantiles((0.25, 0.75))
+    return q[:, 1] - q[:, 0]
 
 
 def _energy_ratio_by_chunks(x, n_chunks: int = 10) -> np.ndarray:

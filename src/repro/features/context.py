@@ -1,12 +1,14 @@
-"""Shared-intermediate context for one ``(N, T)`` metric slab.
+"""Shared-intermediate context for one ``(N, T)`` block of rows.
 
 Profiling the extraction hot path shows the calculators recomputing the
 same handful of intermediates over and over: per-row means and central
 moments, first differences, sorted copies, centered series, |x|, the rFFT
 power spectrum, and — in the expensive tier — pairwise Chebyshev window
 distances.  :class:`MetricBlockContext` computes each of those **once per
-slab**, lazily, and every context-aware calculator draws from it instead
-of re-deriving its own.
+context**, lazily, and every context-aware calculator draws from it
+instead of re-deriving its own.  A context's rows are one or more metric
+slabs stacked by full extraction, or the selected columns of many series
+stacked by the selected-feature plan; every intermediate is row-wise.
 
 Bit-compatibility is a hard requirement: cached intermediates are produced
 by the *same NumPy call sequences* the standalone kernels used (e.g.
@@ -71,11 +73,11 @@ def _lazy(compute):
 
 
 class MetricBlockContext:
-    """Lazily memoised intermediates over one ``(N, T)`` metric slab.
+    """Lazily memoised intermediates over one ``(N, T)`` block of rows.
 
-    Every intermediate is computed at most once per context; contexts live
-    for exactly one slab inside ``compute_block``, so memory is bounded by
-    one slab's worth of derived arrays.
+    Every intermediate is computed at most once per context; a context
+    lives for one group of slabs inside ``compute_slab_group`` (or one plan
+    evaluation), so memory is bounded by that block's derived arrays.
     """
 
     __slots__ = ("values", "_memo", "_acf", "_pairwise")
@@ -117,7 +119,16 @@ class MetricBlockContext:
 
     @_lazy
     def median(self) -> np.ndarray:
-        return np.median(self.values, axis=1)
+        """``np.median(values, axis=1)``, read off :attr:`sorted_values`.
+
+        The middle one or two order statistics go through the same
+        ``mean`` call ``np.median`` makes on its partition, and rows
+        holding a NaN are NaN, so the bits match.
+        """
+        s = self.sorted_values
+        mid = s.shape[1] // 2
+        middle = s[:, mid : mid + 1] if s.shape[1] % 2 else s[:, mid - 1 : mid + 1]
+        return np.where(np.isnan(s[:, -1]), s[:, -1], np.mean(middle, axis=1))
 
     @_lazy
     def minimum(self) -> np.ndarray:
@@ -176,6 +187,36 @@ class MetricBlockContext:
     @_lazy
     def below_mean(self) -> np.ndarray:
         return self.values < self.mean[:, None]
+
+    def quantiles(self, qs) -> np.ndarray:
+        """``np.quantile(values, qs, axis=1).T`` ``(N, len(qs))`` from one sort.
+
+        Reads the order statistics off :attr:`sorted_values` and applies
+        ``np.quantile``'s own linear-interpolation arithmetic (its virtual
+        index, bounds handling and two-sided lerp), so the values are the
+        ones its partitions give; rows holding a NaN are NaN.  Where +0.0
+        and -0.0 tie, a zero result may carry the other sign than the
+        partition's.
+        """
+        s = self.sorted_values
+        t = s.shape[1]
+        virtual = (t - 1) * np.asarray(qs, dtype=np.float64)
+        prev = np.floor(virtual)
+        nxt = prev + 1
+        above = virtual >= t - 1
+        prev[above] = -1
+        nxt[above] = -1
+        prev = prev.astype(np.intp)
+        gamma = virtual - prev
+        lower = s[:, prev]
+        upper = s[:, nxt.astype(np.intp)]
+        step = upper - lower
+        out = lower + step * gamma
+        np.subtract(upper, step * (1 - gamma), out=out, where=gamma >= 0.5)
+        nan_rows = np.isnan(s[:, -1])
+        if nan_rows.any():
+            np.copyto(out, s[:, -1:], where=nan_rows[:, None])
+        return out
 
     # -- central moments -------------------------------------------------------
 

@@ -2,9 +2,10 @@
 
 Implements the paper's feature-extraction stage (Sec. 3.1): each node run's
 ``Time x M metrics`` series becomes one ``1 x N features`` sample.  The
-extractor groups all runs of a dataset into one ``(N, T)`` batch per metric
-and applies every calculator once per metric — a few thousand vectorised
-NumPy calls instead of hundreds of millions of scalar ones.
+extractor stacks all runs of a dataset into one ``(N, T)`` batch per metric,
+stacks a few whole metric batches into one context, and applies every
+calculator once per context — a few thousand vectorised NumPy calls instead
+of hundreds of millions of scalar ones.
 
 Runs of unequal length are linearly resampled onto a common grid first
 (controlled by ``resample_points``); the paper's runs are 20-45 min and
@@ -26,11 +27,19 @@ from repro.telemetry.sampleset import SampleSet
 
 __all__ = [
     "FeatureExtractor",
-    "compute_block",
-    "compute_block_columns",
     "calculator_offsets",
+    "compute_block",
+    "compute_slab_group",
+    "slab_groups",
     "validate_aligned",
 ]
+
+#: Cells (series x time steps) stacked into one :class:`MetricBlockContext`.
+#: Whole metric slabs share a context up to this budget, so perfbench's
+#: 96 x 240 slabs pair up.  Stacking cuts the Python calls per cell; a
+#: small budget keeps each context's derived arrays small, and with them
+#: the threaded engine's peak memory.
+_GROUP_CELLS = 48 * 1024
 
 
 def calculator_offsets(calculators: Sequence[Calculator]) -> tuple[tuple[int, int], ...]:
@@ -44,55 +53,59 @@ def calculator_offsets(calculators: Sequence[Calculator]) -> tuple[tuple[int, in
     return tuple(offsets)
 
 
+def slab_groups(shape: tuple[int, int, int]) -> list[tuple[int, int]]:
+    """Metric ranges ``[lo, hi)`` whose slabs share one context.
+
+    Each group holds at least one whole slab and at most
+    :data:`_GROUP_CELLS` cells.  The grouping depends only on the
+    ``(N, T, K)`` block shape, so every full extraction, serial or
+    threaded, stacks the same rows.
+    """
+    n, t, k = shape
+    per = max(1, _GROUP_CELLS // max(1, n * t))
+    return [(lo, min(lo + per, k)) for lo in range(0, k, per)]
+
+
+def compute_slab_group(
+    calculators: Sequence[Calculator],
+    block: np.ndarray,
+    lo: int,
+    hi: int,
+    out: np.ndarray,
+) -> None:
+    """Fill metrics ``lo..hi`` of *out* ``(N, K, F)`` from an ``(N, T, K)`` block.
+
+    The group's slabs are stacked metric-major into one ``(g*N, T)``
+    context, so every calculator runs once per group and shares its
+    memoised intermediates (moments, diffs, sorts, FFT, pairwise window
+    distances).  Calculators are row-wise, so a row's features do not
+    depend on the rows stacked beside it — except the few ULPs a BLAS
+    ``matrix @ vector`` may move with block height (``linear_trend``,
+    ``benford_correlation``, ``fft_aggregated``).
+    """
+    n, t, _ = block.shape
+    g = hi - lo
+    ctx = MetricBlockContext(block[:, :, lo:hi].transpose(2, 0, 1).reshape(g * n, t))
+    col = 0
+    for calc in calculators:
+        vals = calc(ctx)
+        width = vals.shape[1]
+        out[:, lo:hi, col : col + width] = vals.reshape(g, n, width).transpose(1, 0, 2)
+        col += width
+
+
 def compute_block(calculators: Sequence[Calculator], block: np.ndarray) -> np.ndarray:
     """Apply *calculators* to an ``(N, T, K)`` metric block -> ``(N, K*F)``.
 
-    One :class:`MetricBlockContext` is built per metric slab, so all
-    calculators applied to that metric share its memoised intermediates
-    (moments, diffs, sorts, FFT, pairwise window distances).  The
-    metric-major inner loop is the unit of work the runtime layer's parallel
-    engine distributes: each metric's columns depend only on that metric's
-    ``(N, T)`` slab, so chunking along K (or along the calculator axis via
-    :func:`compute_block_columns`) preserves bit-identical output.
+    Output is metric-major: metric ``m``'s ``F`` columns start at ``m*F``.
+    Slabs are computed in the groups of :func:`slab_groups`; the runtime
+    engine runs the same groups on several threads.
     """
     n, _, k = block.shape
-    f_per = sum(len(c.output_names) for c in calculators)
-    out = np.empty((n, k * f_per))
-    for m in range(k):
-        ctx = MetricBlockContext(block[:, :, m])
-        col = m * f_per
-        for calc in calculators:
-            vals = calc(ctx)
-            out[:, col : col + vals.shape[1]] = vals
-            col += vals.shape[1]
-    return out
-
-
-def compute_block_columns(
-    calculators: Sequence[Calculator],
-    block: np.ndarray,
-    calc_indices: Sequence[int],
-) -> np.ndarray:
-    """Apply a calculator *subset* to an ``(N, T, K)`` block -> ``(N, K*F_sub)``.
-
-    Work unit of the cost-aware scheduler: a chunk covers a K-axis metric
-    range crossed with a calculator subset, and the parent scatters the
-    partial columns back into the full metric-major layout.  The subset
-    shares one context per slab, exactly like :func:`compute_block`, so
-    splitting the calculator axis changes nothing numerically.
-    """
-    n, _, k = block.shape
-    subset = [calculators[i] for i in calc_indices]
-    f_sub = sum(len(c.output_names) for c in subset)
-    out = np.empty((n, k * f_sub))
-    for m in range(k):
-        ctx = MetricBlockContext(block[:, :, m])
-        col = m * f_sub
-        for calc in subset:
-            vals = calc(ctx)
-            out[:, col : col + vals.shape[1]] = vals
-            col += vals.shape[1]
-    return out
+    out = np.empty((n, k, sum(len(c.output_names) for c in calculators)))
+    for lo, hi in slab_groups(block.shape):
+        compute_slab_group(calculators, block, lo, hi, out)
+    return out.reshape(n, -1)
 
 
 def validate_aligned(n_series: int, **named: Sequence | np.ndarray | None) -> None:

@@ -7,12 +7,14 @@ O(buffered) allocation and copy per window.  :class:`NodeRingBuffer`
 replaces that with one preallocated ``(capacity, M)`` float64 block and a
 matching ``(capacity,)`` timestamp vector, written with wraparound:
 
-* **append** is a vectorised scatter of the chunk rows (the buffer grows
-  geometrically and re-linearises only when a window outgrows capacity);
-* **evict** is a pointer advance over the aged-out prefix;
-* **window materialisation** is a zero-copy slice while the live region
-  is contiguous and a single two-segment stitch after wraparound — never
-  a per-chunk concatenation.
+* **append** writes the chunk rows as at most two slices (the buffer
+  grows geometrically and re-linearises only when a window outgrows
+  capacity);
+* **evict** is a binary search over the live segments and a pointer
+  advance over the aged-out prefix;
+* **window materialisation** copies the live region exactly once: one
+  slice copy while it is contiguous, one two-segment stitch after
+  wraparound — never a per-chunk concatenation.
 """
 
 from __future__ import annotations
@@ -75,17 +77,26 @@ class NodeRingBuffer:
             return
         if self.size + c > self.capacity:
             self._grow(self.size + c)
-        idx = (self._head + self.size + np.arange(c)) % self.capacity
-        self._ts[idx] = timestamps
-        self._vals[idx] = values
+        start = (self._head + self.size) % self.capacity
+        first = min(c, self.capacity - start)
+        self._ts[start : start + first] = timestamps[:first]
+        self._vals[start : start + first] = values[:first]
+        if first < c:
+            self._ts[: c - first] = timestamps[first:]
+            self._vals[: c - first] = values[first:]
         self.size += c
 
     def evict_before(self, cutoff: float) -> int:
         """Drop rows with ``timestamp < cutoff``; return how many were dropped."""
         if self.size == 0:
             return 0
-        # Rows are time-ordered, so the evicted set is a prefix.
-        e = int(np.searchsorted(self.timestamps_view(), cutoff, side="left"))
+        # Rows are time-ordered, so the evicted set is a prefix: search the
+        # older segment, and the wrapped one only if all of it is evicted.
+        lo, hi = self._head, self._head + self.size
+        older = self._ts[lo : min(hi, self.capacity)]
+        e = int(np.searchsorted(older, cutoff, side="left"))
+        if e == older.size and hi > self.capacity:
+            e += int(np.searchsorted(self._ts[: hi - self.capacity], cutoff, side="left"))
         self._head = (self._head + e) % self.capacity
         self.size -= e
         self.total_evicted += e
@@ -125,6 +136,10 @@ class NodeRingBuffer:
 
         Evaluation windows outlive the ring slots backing them (feature
         caches, lifecycle healthy buffers, shadow harnesses all retain the
-        window), so materialisation copies exactly once.
+        window), so materialisation copies exactly once: a wrapped
+        region's stitch is already a fresh array.
         """
-        return np.array(self.timestamps_view()), np.array(self.values_view())
+        ts, vals = self.timestamps_view(), self.values_view()
+        if self.wrapped:
+            return ts, vals
+        return ts.copy(), vals.copy()

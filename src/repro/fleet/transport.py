@@ -112,12 +112,10 @@ def _worker_main(worker_id, segment, ctl, pipeline, detector, stream_kwargs) -> 
     parent = os.getppid()
     status = segment.status
     applied_ctl = 0
-    # The forked engine must never touch the coordinator's process pool
-    # (its worker processes belong to the parent); score serially with
-    # private, silent instrumentation.
+    # Score with private, silent instrumentation; any full extraction
+    # stays on the scoring thread.
     engine = getattr(pipeline, "engine", None)
     if engine is not None:
-        engine._pool = None
         engine.config = replace(engine.config, n_workers=1)
         engine.instrumentation = Instrumentation(enabled=False)
 

@@ -5,10 +5,10 @@ feature extraction — ``Prodigy.fit``, ``DataPipeline``, the streaming
 detector, the detector service, CoMTE's evaluators, the experiment
 runners, the CLI, and the benchmarks:
 
-* :class:`ExecutionConfig` — worker/chunk/cache/instrumentation knobs,
+* :class:`ExecutionConfig` — worker/cache/instrumentation knobs,
   resolvable from ``PRODIGY_*`` environment variables and CLI flags;
-* :class:`ParallelExtractor` — process-pool fan-out over per-metric chunks
-  with a guaranteed bit-identical serial fallback;
+* :class:`ParallelExtractor` — full extraction over groups of metric
+  slabs on a few threads, the same bits at any worker count;
 * :class:`FeatureCache` — content-hash-keyed LRU memoisation of feature
   rows;
 * :class:`Instrumentation` — per-stage timers/counters (extract, select,

@@ -23,12 +23,21 @@ __all__ = [
     "FLEET_TRANSPORTS",
     "get_execution_config",
     "set_execution_config",
+    "usable_cpus",
 ]
 
 #: Valid values of :attr:`ExecutionConfig.fleet_transport`.
 FLEET_TRANSPORTS = ("inline", "process")
 
 _FALSY = {"0", "false", "no", "off", ""}
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 def _parse_int(key: str, raw: str) -> int | None:
@@ -60,8 +69,10 @@ class ExecutionConfig:
     Parameters
     ----------
     n_workers:
-        Worker processes for feature extraction.  ``1`` means the serial
-        in-process path (no pool is ever created).
+        Threads running a full feature extraction: the calling thread
+        plus ``n_workers - 1`` helpers, clamped to :func:`usable_cpus`.
+        Defaults to :func:`usable_cpus`; ``1`` runs on the calling thread
+        alone.  Output is the same bits at any count.
     cache_size:
         Feature-row entries kept by the LRU :class:`FeatureCache`;
         ``0`` disables caching entirely.
@@ -82,7 +93,7 @@ class ExecutionConfig:
         response caching.
     """
 
-    n_workers: int = _knob(1, "PRODIGY_WORKERS", _parse_int)
+    n_workers: int = _knob(usable_cpus(), "PRODIGY_WORKERS", _parse_int)
     cache_size: int = _knob(512, "PRODIGY_CACHE_SIZE", _parse_int)
     instrument: bool = _knob(True, "PRODIGY_INSTRUMENT", _parse_flag)
     fleet_transport: str = _knob("inline", "PRODIGY_FLEET_TRANSPORT", _parse_choice)

@@ -12,9 +12,9 @@ It exists for two consumers and must not be "improved":
 * ``benchmarks/check_perf.py`` times the full reference set as the pre-PR
   baseline that ``BENCH_features.json`` speedups are measured against.
 
-Reference calculators reuse calculator names, so never feed them to a
-process-pool engine (the worker factory spec resolves names against the
-*live* registries); the benches pin them to the serial path.
+Reference calculators reuse calculator names, and feature-cache keys digest
+names rather than code, so never let them share a ``FeatureCache`` with the
+live set; the benches run them through plain ``FeatureExtractor`` objects.
 """
 
 from __future__ import annotations

@@ -5,38 +5,42 @@ Covers the PR's core contracts:
 * parity of the context-backed/vectorised kernels against the frozen
   pre-vectorisation references (bit-identical cheap tier, <= 1e-9 for the
   entropy/complexity tier) on random, constant, short, and NaN-edge series;
-* :class:`MetricBlockContext` memoisation semantics;
-* the cost-aware chunk scheduler and the single-CPU serial fallback;
+* :class:`MetricBlockContext` memoisation semantics, and its one-sort
+  quantile and median kernels against ``np.quantile`` / ``np.median``;
+* slab grouping and the threaded engine: the same bits at any worker
+  count, no extraction thread left alive;
 * micro-batched streaming ingest matching sequential ingest;
 * layout caching, cache-key kernel versioning, vectorised resample parity,
   and the bench regression comparator.
 """
 
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.features.extraction as extraction_mod
 import repro.runtime.parallel as parallel_mod
 from repro.features import FeatureExtractor
 from repro.features.calculators import (
     KERNEL_VERSION,
     Calculator,
     calculator_set_digest,
+    default_calculators,
     full_calculators,
 )
 from repro.features.context import MetricBlockContext, as_context
 from repro.features.extraction import (
     calculator_offsets,
     compute_block,
-    compute_block_columns,
+    slab_groups,
 )
 from repro.monitoring import StreamingDetector
 from repro.runtime import ExecutionConfig, Instrumentation, ParallelExtractor
 from repro.runtime.cache import extractor_signature
-from repro.runtime.parallel import plan_chunks
 from repro.telemetry import NodeSeries
 
 from oracles.features import reference_full_calculators
@@ -166,6 +170,16 @@ class TestCalculatorParity:
 # -- MetricBlockContext --------------------------------------------------------
 
 
+def _same_bits(got, want):
+    """Equal shapes, NaN in the same cells, every other cell the same bits."""
+    nan = np.isnan(got)
+    return (
+        got.shape == want.shape
+        and np.array_equal(nan, np.isnan(want))
+        and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    )
+
+
 class TestMetricBlockContext:
     def test_intermediates_memoised(self):
         ctx = MetricBlockContext(np.random.default_rng(1).normal(size=(4, 32)))
@@ -190,6 +204,33 @@ class TestMetricBlockContext:
         with pytest.raises(ValueError, match="slab"):
             MetricBlockContext(np.zeros(8))
 
+    def test_quantiles_match_np_quantile(self):
+        """One sort serves quantile/iqr/median with np.quantile's own bits."""
+        qs = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
+        rng = np.random.default_rng(17)
+        for n in range(1, 301):
+            rows = int(rng.integers(1, 21))
+            values = rng.normal(size=(rows, n)) * 10.0 ** float(rng.integers(-3, 6))
+            if n % 3 == 0:
+                values[rng.random(rows) < 0.3] = 4.25  # constant rows
+            if n % 4 == 0:
+                values[rng.random((rows, n)) < 0.05] = np.nan  # NaN rows
+            if n % 5 == 0:
+                values = np.round(values, 1) + 0.0  # ties, no signed zeros
+            ctx = MetricBlockContext(values)
+            assert _same_bits(ctx.quantiles(qs), np.quantile(values, qs, axis=1).T), n
+            assert _same_bits(ctx.median, np.median(values, axis=1)), n
+
+    def test_quantiles_signed_zero_ties_compare_equal(self):
+        """Where +0.0 and -0.0 tie, only the sign of a zero result may differ."""
+        rng = np.random.default_rng(23)
+        values = rng.normal(size=(20, 64))
+        values[rng.random(values.shape) < 0.3] = 0.0
+        values[rng.random(values.shape) < 0.3] = -0.0
+        qs = (0.05, 0.25, 0.5, 0.75, 0.95)
+        got = MetricBlockContext(values).quantiles(qs)
+        assert np.array_equal(got, np.quantile(values, qs, axis=1).T)
+
     def test_custom_array_calculator_still_gets_arrays(self):
         """Third-party calculators (uses_context=False) see raw ndarrays."""
         seen = {}
@@ -199,37 +240,140 @@ class TestMetricBlockContext:
         assert isinstance(seen["x"], np.ndarray)
 
 
-# -- cost-aware scheduling -----------------------------------------------------
+# -- slab groups and the threaded engine ----------------------------------------
 
 
-class TestPlanChunks:
-    def test_every_metric_calculator_pair_covered_once(self):
-        calcs = full_calculators()
-        units = plan_chunks(calcs, n_metrics=9, n_workers=4)
-        seen = set()
-        for unit in units:
-            for m in range(unit.metric_lo, unit.metric_hi):
-                for ci in unit.calc_indices:
-                    pair = (m, ci)
-                    assert pair not in seen
-                    seen.add(pair)
-        assert len(seen) == 9 * len(calcs)
+class TestSlabGroups:
+    def test_every_metric_covered_once_by_whole_slabs(self):
+        for shape in ((1, 24, 1), (5, 24, 7), (96, 240, 96), (32, 128, 12), (3, 1, 0)):
+            groups = slab_groups(shape)
+            covered = [m for lo, hi in groups for m in range(lo, hi)]
+            assert covered == list(range(shape[2]))
+            n, t, _ = shape
+            for lo, hi in groups:
+                assert hi > lo
+                assert hi - lo == 1 or (hi - lo) * n * t <= extraction_mod._GROUP_CELLS
 
-    def test_expensive_tier_splits_finer_than_cheap(self):
-        calcs = full_calculators()
-        units = plan_chunks(calcs, n_metrics=16, n_workers=4)
-        span = {}
-        for unit in units:
-            tier = calcs[unit.calc_indices[0]].cost
-            span.setdefault(tier, []).append(unit.metric_hi - unit.metric_lo)
-        assert max(span["expensive"]) <= min(span["cheap"])
+    def test_perfbench_slabs_pair_up(self):
+        assert slab_groups((96, 240, 96)) == [(m, m + 2) for m in range(0, 96, 2)]
 
-    def test_units_sorted_heaviest_first_and_empty_metrics(self):
-        calcs = full_calculators()
-        units = plan_chunks(calcs, n_metrics=8, n_workers=2)
-        weights = [u.weight for u in units]
-        assert weights == sorted(weights, reverse=True)
-        assert plan_chunks(calcs, n_metrics=0, n_workers=2) == []
+    def test_grouping_depends_on_block_shape_alone(self):
+        """Slabs larger than the budget run alone; small ones share a context."""
+        assert slab_groups((400, 240, 3)) == [(0, 1), (1, 2), (2, 3)]
+        assert slab_groups((2, 16, 9)) == [(0, 9)]
+
+
+def _plain_calculators():
+    """Third-party style calculators that take the raw ``(N, T)`` array."""
+    return [
+        Calculator("plain_mean", lambda b: b.mean(axis=1), ("plain_mean",)),
+        Calculator(
+            "plain_span",
+            lambda b: np.stack([b.min(axis=1), b.max(axis=1)], axis=1),
+            ("plain_min", "plain_max"),
+        ),
+    ]
+
+
+CALCULATOR_SETS = {
+    "default": default_calculators,
+    "full": full_calculators,
+    "plain": _plain_calculators,
+}
+
+
+def _engine(fx, workers):
+    return ParallelExtractor(
+        fx,
+        config=ExecutionConfig(n_workers=workers, cache_size=0),
+        instrumentation=Instrumentation(enabled=False),
+    )
+
+
+def _series_of(values):
+    """One NodeSeries per row of an ``(N, T, K)`` block, metrics ``m0..``."""
+    n, t, k = values.shape
+    names = tuple(f"m{i}" for i in range(k))
+    return [NodeSeries(1, c, np.arange(float(t)), values[c], names) for c in range(n)]
+
+
+class TestThreadedExtraction:
+    #: time steps per run
+    T = 24
+
+    @pytest.fixture(autouse=True)
+    def _four_cpus(self, monkeypatch):
+        """Four usable CPUs, so ``n_workers=4`` really starts three helpers."""
+        monkeypatch.setattr(parallel_mod, "usable_cpus", lambda: 4)
+
+    @pytest.mark.parametrize("calcs", sorted(CALCULATOR_SETS))
+    @pytest.mark.parametrize("k", [2, 3, 6, 7], ids=["below", "at", "multiple", "above"])
+    @pytest.mark.parametrize("n", [1, 5, 96])
+    def test_threaded_matches_serial(self, n, k, calcs, monkeypatch):
+        """Serial and 1/2/4-worker extraction are the same bits, threads joined."""
+        monkeypatch.setattr(extraction_mod, "_GROUP_CELLS", 3 * n * self.T)  # 3 slabs
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(n, self.T, k)) * 10.0 ** rng.integers(-2, 4, size=(1, 1, k))
+        values[0, :, 0] = 2.5  # a constant row inside the first group
+        series = _series_of(values)
+        fx = FeatureExtractor(CALCULATOR_SETS[calcs](), resample_points=None)
+        reference, names = fx.extract_matrix(series)
+        before = threading.active_count()
+        for workers in (1, 2, 4):
+            engine = _engine(fx, workers)
+            mat, got_names = engine.extract_matrix(series)
+            assert threading.active_count() == before
+            assert got_names == names
+            assert np.array_equal(mat, reference), (workers, calcs)
+            plan = engine.stats()["scheduler"]
+            assert plan["groups"] == -(-k // 3)
+            assert plan["workers"] == min(workers, plan["groups"])
+            assert plan["mode"] == ("threaded" if plan["workers"] > 1 else "inline")
+
+    def test_helper_failure_raises_on_caller_and_joins(self, monkeypatch):
+        """A calculator raising in any group fails the call; no thread survives."""
+        monkeypatch.setattr(extraction_mod, "_GROUP_CELLS", 2 * 5 * self.T)  # 2 slabs
+
+        def flaky(b):
+            if (b > 1e9).any():
+                raise RuntimeError("bad slab")
+            return b.mean(axis=1)
+
+        values = np.random.default_rng(3).random((5, self.T, 8))
+        values[0, :, 6] = 2e9  # metric 6 sits in the last of four groups
+        fx = FeatureExtractor([Calculator("flaky", flaky, ("flaky",))], resample_points=None)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="bad slab"):
+            _engine(fx, 4).extract_matrix(_series_of(values))
+        assert threading.active_count() == before
+
+    def test_stress_every_group_claimed_once(self, monkeypatch):
+        """More threads than cores, rapid switching: each group runs exactly once."""
+        monkeypatch.setattr(parallel_mod, "usable_cpus", lambda: 8)
+        monkeypatch.setattr(extraction_mod, "_GROUP_CELLS", 1)  # one slab per group
+        lock = threading.Lock()
+        seen: list[float] = []
+
+        def tagged(b):
+            with lock:
+                seen.append(float(b[0, 0]))
+            return b.sum(axis=1)
+
+        k = 40
+        values = np.random.default_rng(9).random((3, self.T, k))
+        values[0, 0, :] = np.arange(k)  # tags each slab by its first cell
+        series = _series_of(values)
+        fx = FeatureExtractor([Calculator("tagged", tagged, ("tagged",))], resample_points=None)
+        reference, _ = fx.extract_matrix(series)
+        seen.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            mat, _ = _engine(fx, 8).extract_matrix(series)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(range(k))
+        assert np.array_equal(mat, reference)
 
 
 class TestSerialFallback:
@@ -243,55 +387,38 @@ class TestSerialFallback:
         ]
 
     def test_single_cpu_host_runs_serial(self, series, monkeypatch):
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 1)
-        with ParallelExtractor(
-            FeatureExtractor(resample_points=16),
-            config=ExecutionConfig(n_workers=4, cache_size=0),
-            instrumentation=Instrumentation(enabled=False),
-        ) as engine:
-            engine.extract_matrix(series)
-            assert engine._pool is None
-            assert engine._last_plan["mode"] == "serial"
-            assert engine._last_plan["reason"] == "single_cpu_fallback"
-            assert engine.stats()["scheduler"]["effective_workers"] == 1
+        monkeypatch.setattr(parallel_mod, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(extraction_mod, "_GROUP_CELLS", 5 * 16)  # one slab per group
+        engine = _engine(FeatureExtractor(resample_points=16), 4)
+        engine.extract_matrix(series)
+        assert engine.effective_workers == 1
+        assert engine.stats()["scheduler"] == {"mode": "inline", "workers": 1, "groups": 6}
 
     def test_multi_cpu_parallel_is_bit_identical(self, series, monkeypatch):
+        monkeypatch.setattr(parallel_mod, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(extraction_mod, "_GROUP_CELLS", 5 * 16)
         fx = FeatureExtractor(full_calculators(), resample_points=16)
         reference = fx.extract_matrix(series)[0]
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
-        with ParallelExtractor(
-            fx,
-            config=ExecutionConfig(n_workers=4, cache_size=0),
-            instrumentation=Instrumentation(enabled=False),
-        ) as engine:
-            mat, _ = engine.extract_matrix(series)
-            assert engine._last_plan["mode"] == "parallel"
-            assert engine._last_plan["n_units"] > 1
+        engine = _engine(fx, 4)
+        mat, _ = engine.extract_matrix(series)
+        assert engine.stats()["scheduler"] == {"mode": "threaded", "workers": 4, "groups": 6}
         assert np.array_equal(mat, reference)
 
-    def test_compute_block_columns_matches_full_block(self, series):
+    def test_stacked_groups_match_one_slab_at_a_time(self, series, monkeypatch):
+        """Grouped contexts give each slab's own bits (row-wise kernels)."""
         fx = FeatureExtractor(full_calculators(), resample_points=16)
         block, _ = fx.stack(series)
-        full = compute_block(fx.calculators, block)
+        grouped = compute_block(fx.calculators, block)
+        assert len(slab_groups(block.shape)) == 1
+        monkeypatch.setattr(extraction_mod, "_GROUP_CELLS", 1)
+        alone = compute_block(fx.calculators, block)
         f_per = fx.n_features_per_metric
-        idx = [0, 3, len(fx.calculators) - 1]
-        partial = compute_block_columns(fx.calculators, block, idx)
-        widths = [len(fx.calculators[i].output_names) for i in idx]
-        offsets = []
-        col = 0
-        for i, calc in enumerate(fx.calculators):
-            if i in idx:
-                offsets.append(col)
-            col += len(calc.output_names)
-        f_sub = sum(widths)
-        for m in range(block.shape[2]):
-            src = m * f_sub
-            for off, width in zip(offsets, widths):
-                assert np.array_equal(
-                    partial[:, src : src + width],
-                    full[:, m * f_per + off : m * f_per + off + width],
-                )
-                src += width
+        for calc, (off, width) in zip(fx.calculators, calculator_offsets(fx.calculators)):
+            cols = [m * f_per + off + j for m in range(block.shape[2]) for j in range(width)]
+            if calc.name in ROW_VARIANT:
+                np.testing.assert_allclose(grouped[:, cols], alone[:, cols], rtol=1e-9, atol=1e-12)
+            else:
+                assert np.array_equal(grouped[:, cols], alone[:, cols]), calc.name
 
 
 # -- layout caching and cache-key versioning -----------------------------------

@@ -606,7 +606,4 @@ class TestFleetTransportConfig:
                 n_workers=1, cache_size=0, fleet_transport="process"),
             instrumentation=Instrumentation(enabled=False),
         )
-        try:
-            assert engine.stats()["config"]["fleet_transport"] == "process"
-        finally:
-            engine.close()
+        assert engine.stats()["config"]["fleet_transport"] == "process"

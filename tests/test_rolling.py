@@ -57,6 +57,19 @@ class TestNodeRingBuffer:
         # A 6-slot ring fed 30 rows with steady eviction must have wrapped.
         assert ring.unwrap_copies > 0
 
+    def test_evict_across_the_wrap(self):
+        """An eviction that empties the older segment goes on into the wrapped one."""
+        ring = NodeRingBuffer(1, capacity=8)
+        ring.append(np.arange(6.0), np.arange(6.0)[:, None])
+        assert ring.evict_before(4.0) == 4
+        ring.append(np.arange(6.0, 11.0), np.arange(6.0, 11.0)[:, None])
+        assert ring.wrapped
+        assert ring.evict_before(9.0) == 5
+        np.testing.assert_array_equal(ring.timestamps_view(), [9.0, 10.0])
+        np.testing.assert_array_equal(ring.values_view()[:, 0], [9.0, 10.0])
+        assert ring.evict_before(100.0) == 2
+        assert ring.size == 0 and ring.total_evicted == 11
+
     def test_growth_relinearises_and_counts(self):
         ring = NodeRingBuffer(1, capacity=4)
         ring.append(np.arange(3.0), np.arange(3.0)[:, None])

@@ -17,6 +17,7 @@ from repro.runtime import (
     set_execution_config,
 )
 from repro.runtime.cache import extractor_signature, series_fingerprint
+from repro.runtime.config import usable_cpus
 from repro.telemetry import NodeSeries
 
 
@@ -46,7 +47,7 @@ def extractor():
 class TestExecutionConfig:
     def test_defaults(self):
         cfg = ExecutionConfig()
-        assert cfg.n_workers == 1
+        assert cfg.n_workers == usable_cpus()
         assert cfg.cache_size == 512
         assert cfg.instrument is True
 
@@ -145,17 +146,11 @@ class TestParallelExtractor:
         series = make_series()
         reference, ref_names = extractor.extract_matrix(series)
 
-        with ParallelExtractor(
-            extractor, config=ExecutionConfig(n_workers=1, cache_size=0)
-        ) as serial:
-            mat, names = serial.extract_matrix(series)
-            assert names == ref_names
-            assert np.array_equal(mat, reference)
-
-        with ParallelExtractor(
-            extractor, config=ExecutionConfig(n_workers=4, cache_size=0)
-        ) as parallel:
-            mat, names = parallel.extract_matrix(series)
+        for workers in (1, 4):
+            engine = ParallelExtractor(
+                extractor, config=ExecutionConfig(n_workers=workers, cache_size=0)
+            )
+            mat, names = engine.extract_matrix(series)
             assert names == ref_names
             assert np.array_equal(mat, reference)
 
@@ -218,17 +213,20 @@ class TestParallelExtractor:
         with pytest.raises(ValueError, match=f"{field} has 2 entries but there are 4 series"):
             extractor.extract(series, **kwargs)
 
-    def test_unpicklable_custom_calculators_fall_back_to_serial(self, extractor):
+    def test_plain_custom_calculators_run_threaded(self, monkeypatch):
+        """Lambdas and raw-array calculators need no pickling: threads share them."""
+        import repro.features.extraction as extraction_mod
+        import repro.runtime.parallel as parallel_mod
         from repro.features.calculators import Calculator
 
+        monkeypatch.setattr(parallel_mod, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(extraction_mod, "_GROUP_CELLS", 6 * 16)
         custom = [Calculator("loc_mean", lambda b: b.mean(axis=1), ("loc_mean",))]
         fx = FeatureExtractor(calculators=custom, resample_points=16)
         series = make_series(n_metrics=3)
-        with ParallelExtractor(
-            fx, config=ExecutionConfig(n_workers=4, cache_size=0)
-        ) as engine:
-            mat, _ = engine.extract_matrix(series)
-        assert engine._pool is None  # never built a pool it could not feed
+        engine = ParallelExtractor(fx, config=ExecutionConfig(n_workers=4, cache_size=0))
+        mat, _ = engine.extract_matrix(series)
+        assert engine.stats()["scheduler"] == {"mode": "threaded", "workers": 3, "groups": 3}
         assert np.array_equal(mat, fx.extract_matrix(series)[0])
 
     def test_stats_snapshot(self, extractor):
@@ -313,9 +311,13 @@ def test_cli_runtime_stats(capsys):
 def test_cli_runtime_stats_json(capsys):
     import json
 
-    assert main(
-        ["runtime", "stats", "--samples", "4", "--metrics", "3", "--json", "--workers", "1"]
-    ) == 0
+    argv = ["runtime", "stats", "--samples", "4", "--metrics", "3", "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["n_workers"] == ExecutionConfig.from_env().n_workers
+    assert "extract" in payload["instrumentation"]["stages"]
+
+    assert main(argv + ["--workers", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["n_workers"] == 1
-    assert "extract" in payload["instrumentation"]["stages"]
+    assert payload["scheduler"]["mode"] == "inline"
