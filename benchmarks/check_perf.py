@@ -1474,20 +1474,30 @@ def run_streaming_check() -> dict:
     1/8/64 and reports wall-clock, throughput, and the rolling speedup.
     An untimed parity replay then checks that the two modes emit the same
     verdicts — same (window_end, alert, streak) and scores within
-    ``STREAMING_PARITY_BOUND``.
+    ``STREAMING_PARITY_BOUND``.  A second untimed replay feeds the
+    64-node fleet micro-batched, one ``ingest_many`` per round across
+    every node (how a fleet worker drains its queue), in both modes, with
+    the same parity bound on its verdicts.
     """
     from repro.monitoring import StreamingDetector
 
     pipeline, detector, _ = _streaming_deployment()
     window_seconds, evaluate_every = 128.0, 32
 
-    def replay(mode, chunks):
-        stream = StreamingDetector(
+    def stream_of(mode):
+        return StreamingDetector(
             pipeline, detector,
             window_seconds=window_seconds, evaluate_every=evaluate_every,
             streaming_mode=mode,
         )
+
+    def replay(mode, chunks):
+        stream = stream_of(mode)
         return [v for c in chunks if (v := stream.ingest(c)) is not None]
+
+    def replay_rounds(mode, rounds):
+        stream = stream_of(mode)
+        return [v for chunks in rounds for v in stream.ingest_many(chunks)]
 
     result: dict = {
         "workload": {
@@ -1521,32 +1531,41 @@ def run_streaming_check() -> dict:
             "speedup": batch_s / rolling_s,
         }
 
-    # Untimed parity replay (instrumented path, mid fleet width).
-    chunks = _streaming_fleet_stream(8, 24)
-    batch_v = replay("batch", chunks)
-    rolling_v = replay("rolling", chunks)
-    key = lambda v: (v.job_id, v.component_id, v.window_end, v.alert, v.streak)
-    deltas = [
-        abs(b.anomaly_score - r.anomaly_score)
-        for b, r in zip(batch_v, rolling_v)
-    ]
-    result["parity"] = {
-        "verdicts": len(batch_v),
-        "max_abs_delta": max(deltas) if deltas else None,
-        "verdicts_identical": (
-            len(batch_v) == len(rolling_v)
-            and [key(v) for v in batch_v] == [key(v) for v in rolling_v]
-        ),
-    }
+    def parity(batch_v, rolling_v) -> dict:
+        key = lambda v: (v.job_id, v.component_id, v.window_end, v.alert, v.streak)
+        deltas = [
+            abs(b.anomaly_score - r.anomaly_score)
+            for b, r in zip(batch_v, rolling_v)
+        ]
+        return {
+            "verdicts": len(batch_v),
+            "max_abs_delta": max(deltas) if deltas else None,
+            "verdicts_identical": (
+                len(batch_v) == len(rolling_v)
+                and [key(v) for v in batch_v] == [key(v) for v in rolling_v]
+            ),
+        }
 
-    assert result["parity"]["verdicts"] > 0, "parity replay emitted no verdicts"
-    assert result["parity"]["verdicts_identical"], (
-        "rolling and batch modes disagreed on (window_end, alert, streak)"
+    # Untimed parity replays (instrumented path): chunk by chunk at mid
+    # fleet width, then one ingest_many per round across 64 nodes.
+    chunks = _streaming_fleet_stream(8, 24)
+    result["parity"] = parity(replay("batch", chunks), replay("rolling", chunks))
+    chunks = _streaming_fleet_stream(64, 10)
+    rounds = [chunks[i : i + 64] for i in range(0, len(chunks), 64)]
+    result["microbatch_parity"] = parity(
+        replay_rounds("batch", rounds), replay_rounds("rolling", rounds)
     )
-    assert result["parity"]["max_abs_delta"] <= STREAMING_PARITY_BOUND, (
-        f"rolling scores drifted {result['parity']['max_abs_delta']:.2e} from "
-        f"batch, bound {STREAMING_PARITY_BOUND:.0e}"
-    )
+
+    for name, p in (("parity", result["parity"]),
+                    ("micro-batched parity", result["microbatch_parity"])):
+        assert p["verdicts"] > 0, f"{name} replay emitted no verdicts"
+        assert p["verdicts_identical"], (
+            f"{name}: rolling and batch modes disagreed on (window_end, alert, streak)"
+        )
+        assert p["max_abs_delta"] <= STREAMING_PARITY_BOUND, (
+            f"{name}: rolling scores drifted {p['max_abs_delta']:.2e} from "
+            f"batch, bound {STREAMING_PARITY_BOUND:.0e}"
+        )
     for n_nodes in (1, 8, 64):
         sp = result[f"nodes_{n_nodes}"]["speedup"]
         assert sp >= STREAMING_SPEEDUP_FLOOR, (
@@ -1645,7 +1664,9 @@ def summarise_streaming(r: dict) -> str:
         f"rolling {r['nodes_64']['rolling_rows_per_sec']:.0f} rows/s at 64 "
         f"nodes, parity max|delta| {r['parity']['max_abs_delta']:.1e} over "
         f"{r['parity']['verdicts']} verdicts, verdicts identical "
-        f"{r['parity']['verdicts_identical']}"
+        f"{r['parity']['verdicts_identical']}; micro-batched parity "
+        f"max|delta| {r['microbatch_parity']['max_abs_delta']:.1e} over "
+        f"{r['microbatch_parity']['verdicts']} verdicts"
     )
 
 

@@ -150,11 +150,13 @@ class ProdigyDetector(ThresholdDetector):
 
         *present* (mixed-schema fleets) restricts each row's mean to its
         observed feature columns; see :meth:`VAE.reconstruction_error`.
+        A row scores the same bits alone as inside any batch, so callers
+        may score windows one at a time or a whole micro-batch at once.
         """
         check_fitted(self, ["vae_"])
         x = self._check_input(x)
         with get_instrumentation().stage("score", items=x.shape[0]):
-            return self.vae_.reconstruction_error(x, present=present)
+            return self.vae_._reconstruction_error(x, present)
 
     def predict(
         self, x: np.ndarray, *, present: np.ndarray | None = None

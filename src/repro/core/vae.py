@@ -227,13 +227,27 @@ class VAE:
         scores are reproducible; sampling is available for generation.
         """
         x = check_matrix(x, name="X")
-        mu, logvar = self.encode(x)
         if deterministic:
-            z = mu
-        else:
-            eps = self._rng.standard_normal(mu.shape)
-            z = mu + np.exp(0.5 * logvar) * eps
-        return self.decode(z)
+            return self._reconstruct_mean(x)
+        mu, logvar = self.encode(x)
+        eps = self._rng.standard_normal(mu.shape)
+        return self.decode(mu + np.exp(0.5 * logvar) * eps)
+
+    def _reconstruct_mean(self, x: np.ndarray) -> np.ndarray:
+        """Posterior-mean reconstruction of a validated matrix.
+
+        Encoder, mu head, decoder: the log-variance head plays no part in
+        a deterministic reconstruction, so it is not run.  A row comes out
+        the same bits alone as inside any block: BLAS computes every row
+        of a product of two or more rows the same way, whatever the height
+        or order of the block, but takes another path for a single row, so
+        a lone row runs as a two-row block and the copy is dropped.
+        """
+        lone = x.shape[0] == 1
+        if lone:
+            x = np.concatenate((x, x))
+        xhat = self.decoder.forward(self.mu_head.forward(self.encoder.forward(x)))
+        return xhat[:1] if lone else xhat
 
     def sample(self, n: int) -> np.ndarray:
         """Generate *n* new samples from the prior (the generative use)."""
@@ -249,12 +263,20 @@ class VAE:
         mean runs over each row's observed columns only: an absent column
         is no evidence of anomaly, and averaging its 0-fill error would
         dilute GPU-only signals on a mostly-CPU fleet.  A dense mask
-        scores identically to the unmasked path.
+        scores identically to the unmasked path.  A row's score does not
+        depend on the rows scored with it (see :meth:`_reconstruct_mean`),
+        so scoring windows one at a time or a micro-batch at once gives
+        the same bits.
         """
-        x = check_matrix(x, name="X")
-        err = np.abs(self.reconstruct(x) - x)
+        return self._reconstruction_error(check_matrix(x, name="X"), present)
+
+    def _reconstruction_error(
+        self, x: np.ndarray, present: np.ndarray | None
+    ) -> np.ndarray:
+        """:meth:`reconstruction_error` of a validated matrix."""
+        err = np.abs(self._reconstruct_mean(x) - x)
         if present is None:
-            return np.mean(err, axis=1)
+            return err.sum(axis=1) / err.shape[1]  # np.mean's own arithmetic
         p = np.asarray(present, dtype=bool)
         if p.shape != x.shape:
             raise ValueError(f"present mask shape {p.shape} != X shape {x.shape}")

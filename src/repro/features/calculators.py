@@ -78,7 +78,15 @@ class Calculator:
     uses_context: bool = field(default=False, compare=False)
 
     def __call__(self, x: np.ndarray | MetricBlockContext) -> np.ndarray:
-        ctx = as_context(x)
+        return finite_features(self.raw(as_context(x)))
+
+    def raw(self, ctx: MetricBlockContext) -> np.ndarray:
+        """``(ctx.n, k)`` output on *ctx*, before :func:`finite_features`.
+
+        Callers that gather cells out of several calculators' outputs run
+        the finite pass once on the gathered cells: it is elementwise, so
+        the bits are the ones :meth:`__call__` gives.
+        """
         out = self.func(ctx if self.uses_context else ctx.values)
         out = np.asarray(out, dtype=np.float64)
         if out.ndim == 1:
@@ -88,12 +96,19 @@ class Calculator:
                 f"calculator {self.name!r} returned shape {out.shape}, "
                 f"expected ({ctx.n}, {len(self.output_names)})"
             )
-        # Features must stay finite for the scaler/model stack.  The check
-        # costs a fraction of the conversion; a finite output may alias the
-        # context's memo, so callers copy it and never write into it.
-        if np.isfinite(out).all():
-            return out
-        return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
+        return out
+
+
+def finite_features(out: np.ndarray) -> np.ndarray:
+    """*out* with NaN and +-inf replaced by 0.0.
+
+    Features must stay finite for the scaler/model stack.  The check costs
+    a fraction of the conversion; a finite output may alias a context's
+    memo, so callers copy it and never write into it.
+    """
+    if np.isfinite(out).all():
+        return out
+    return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
 
 
 def calculator_set_digest(calculators: Sequence[Calculator]) -> bytes:
@@ -339,7 +354,8 @@ def _c3(x, lag: int) -> np.ndarray:
     t, v = c.t, c.values
     if 2 * lag >= t:
         return np.zeros(c.n)
-    return np.mean(v[:, 2 * lag :] * v[:, lag : t - lag] * v[:, : t - 2 * lag], axis=1)
+    # The sum and division np.mean(axis=1) runs, without its wrapper.
+    return (v[:, 2 * lag :] * v[:, lag : t - lag] * v[:, : t - 2 * lag]).sum(axis=1) / (t - 2 * lag)
 
 
 def _time_reversal_asymmetry(x, lag: int) -> np.ndarray:

@@ -27,6 +27,7 @@ Row-chunking bounds the ``(n, W, W)`` tensors to a fixed memory budget.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +54,28 @@ class EntropyProfile(NamedTuple):
     a: np.ndarray
     b: np.ndarray
     valid: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _quantile_weights(t: int, qs: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """``np.quantile``'s interpolation indices and weights for rows of *t*.
+
+    ``(prev, nxt, gamma, 1 - gamma, gamma >= 0.5)``: they depend on the
+    row length and the levels alone, so every context of one length
+    shares them.
+    """
+    virtual = (t - 1) * np.asarray(qs, dtype=np.float64)
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    above = virtual >= t - 1
+    prev[above] = -1
+    nxt[above] = -1
+    prev = prev.astype(np.intp)
+    gamma = virtual - prev
+    weights = (prev, nxt.astype(np.intp), gamma, 1 - gamma, gamma >= 0.5)
+    for w in weights:
+        w.flags.writeable = False
+    return weights
 
 
 def _lazy(compute):
@@ -199,20 +222,12 @@ class MetricBlockContext:
         partition's.
         """
         s = self.sorted_values
-        t = s.shape[1]
-        virtual = (t - 1) * np.asarray(qs, dtype=np.float64)
-        prev = np.floor(virtual)
-        nxt = prev + 1
-        above = virtual >= t - 1
-        prev[above] = -1
-        nxt[above] = -1
-        prev = prev.astype(np.intp)
-        gamma = virtual - prev
+        prev, nxt, gamma, rest, upper_half = _quantile_weights(s.shape[1], tuple(qs))
         lower = s[:, prev]
-        upper = s[:, nxt.astype(np.intp)]
+        upper = s[:, nxt]
         step = upper - lower
         out = lower + step * gamma
-        np.subtract(upper, step * (1 - gamma), out=out, where=gamma >= 0.5)
+        np.subtract(upper, step * rest, out=out, where=upper_half)
         nan_rows = np.isnan(s[:, -1])
         if nan_rows.any():
             np.copyto(out, s[:, -1:], where=nan_rows[:, None])

@@ -10,10 +10,12 @@ selected features: it takes each series' selected columns — re-gridded
 with :func:`~repro.telemetry.frame.resample_uniform`, the arithmetic of
 the :meth:`NodeSeries.resample` that ``FeatureExtractor.stack`` applies,
 when the extractor resamples; that interpolates column by column, so
-selecting first changes nothing — stacks them into one
-:class:`MetricBlockContext` (one row per series and column), runs each
-calculator the cells need once on it — the batch kernels the extractor
-uses — and gathers the cells out of the concatenated outputs.
+selecting first changes nothing — stacks them into one block (one row per
+series and column), runs each calculator the cells need once — the batch
+kernels the extractor uses — on a :class:`MetricBlockContext` over only
+the rows its cells read, and gathers the cells out of the concatenated
+outputs.  Calculators are row-wise, so a row's output does not depend on
+which other rows share its context.
 
 Each cell equals full extraction of the same series, NaN quirks included,
 with one exception: ``linear_trend``, ``benford_correlation`` and
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.features.calculators import Calculator
+from repro.features.calculators import Calculator, finite_features
 from repro.features.context import MetricBlockContext
 from repro.features.extraction import FeatureExtractor
 from repro.telemetry.frame import NodeSeries, resample_uniform
@@ -69,6 +71,7 @@ class RollingPlan:
             for col, out in enumerate(calc.output_names):
                 feature_map[out] = (calc, col)
 
+        #: selected cells the schema has; absent ones stay 0, like batch
         self.present = np.zeros(len(self.selected), dtype=bool)
         cells: list[tuple[int, int, Calculator, int]] = []
         for j, name in enumerate(self.selected):
@@ -86,24 +89,50 @@ class RollingPlan:
             self.present[j] = True
             cells.append((j, idx, calc, col))
 
-        #: schema columns the context reads, ascending; a window's context
-        #: row ``r`` is column ``columns[r]``
+        #: schema columns the block reads, ascending; a window's block row
+        #: ``r`` is column ``columns[r]``
         self.columns = np.array(sorted({metric for _, metric, _, _ in cells}), dtype=np.intp)
-        #: each calculator the cells need, once; their outputs are
-        #: concatenated in this order
-        self.calcs: list[Calculator] = []
-        offset: dict[int, int] = {}
-        width = 0
-        for _, _, calc, _ in cells:
-            if id(calc) not in offset:
-                offset[id(calc)] = width
-                width += len(calc.output_names)
-                self.calcs.append(calc)
+        #: schema columns a series must carry for this plan: the block's
+        #: and every metric the extractor pins, ascending.  Series of only
+        #: these columns get the same features from their own plan.
+        self.input_columns = np.array(
+            sorted({*self.columns.tolist(), *(metric_pos[m] for m in extractor.metrics or ())}),
+            dtype=np.intp,
+        )
         row_of = {int(m): r for r, m in enumerate(self.columns)}
+        #: each calculator the cells need, once
+        self.calcs: list[Calculator] = []
+        rows_of: dict[int, set[int]] = {}
+        for _, m, calc, _ in cells:
+            if id(calc) not in rows_of:
+                rows_of[id(calc)] = set()
+                self.calcs.append(calc)
+            rows_of[id(calc)].add(row_of[m])
+        # One pass per distinct row subset: its calculators share one
+        # context over those rows of every window (None: all of them).
+        passes: dict[tuple[int, ...], list[Calculator]] = {}
+        for calc in self.calcs:
+            passes.setdefault(tuple(sorted(rows_of[id(calc)])), []).append(calc)
+        self._passes = [
+            (None if len(rows) == len(self.columns) else np.array(rows, dtype=np.intp), calcs)
+            for rows, calcs in passes.items()
+        ]
+        # A window's outputs are the passes' blocks side by side, each
+        # flattened from (its rows, its calculators' concatenated columns).
+        start: dict[tuple[int, int], int] = {}
+        width = 0
+        for rows, calcs in passes.items():
+            k = sum(len(calc.output_names) for calc in calcs)
+            offset = 0
+            for calc in calcs:
+                for i, r in enumerate(rows):
+                    start[id(calc), r] = width + i * k + offset
+                offset += len(calc.output_names)
+            width += len(rows) * k
         #: position of every present cell, in selected order, in one
-        #: window's flattened ``(len(columns), width)`` output block
+        #: window's flattened outputs
         self._gather = np.array(
-            [row_of[m] * width + offset[id(calc)] + col for _, m, calc, col in cells],
+            [start[id(calc), row_of[m]] + col for _, m, calc, col in cells],
             dtype=np.intp,
         )
 
@@ -136,11 +165,19 @@ class RollingPlan:
 
         *windows* share this plan's schema and one length after
         resampling.  Each calculator in :attr:`calcs` runs exactly once, on
-        one context over every window's selected columns.
+        one context over the rows its cells read in every window.
         """
-        raw = np.zeros((len(windows), self.n_selected))
-        if self.calcs:
-            ctx = MetricBlockContext(self._rows(windows))
-            block = np.concatenate([calc(ctx) for calc in self.calcs], axis=1)
-            raw[:, self.present] = block.reshape(len(windows), -1)[:, self._gather]
+        n = len(windows)
+        if not self.calcs:
+            return np.zeros((n, self.n_selected)), self.present
+        rows = self._rows(windows)
+        t = rows.shape[1]
+        blocks = []
+        for subset, calcs in self._passes:
+            part = rows if subset is None else rows.reshape(n, -1, t)[:, subset].reshape(-1, t)
+            ctx = MetricBlockContext(part)
+            out = np.concatenate([calc.raw(ctx) for calc in calcs], axis=1)
+            blocks.append(out.reshape(n, -1))
+        raw = np.zeros((n, self.n_selected))
+        raw[:, self.present] = finite_features(np.concatenate(blocks, axis=1)[:, self._gather])
         return raw, self.present

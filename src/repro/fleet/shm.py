@@ -5,7 +5,8 @@ coordinator<->worker data plane in a single POSIX shared-memory block:
 
 ```
   +--------------------------------------------------------------+
-  | status block  int64[16]   heartbeat, scored_seq, counters    |
+  | status block  int64[16]   heartbeat, scored_seq, counters,   |
+  |                           waiting word                       |
   +--------------------------------------------------------------+
   | chunk ring    ctrl int64[2] (head, tail — monotonic seqs)    |
   |               slot 0: header | timestamps[S] | values[S*M]   |
@@ -57,7 +58,8 @@ __all__ = [
     "VerdictRing",
 ]
 
-#: Per-slot chunk metadata. ``schema_idx`` indexes the control-channel
+#: Per-slot chunk metadata, all int64 words (written and read as one
+#: ``int64[7]`` view). ``schema_idx`` indexes the control-channel
 #: schema table (digest -> metric names), so variable-length names never
 #: ride in the ring; ``seq`` is the chunk's transport sequence number —
 #: the unit of salvage accounting after a worker death.  ``ctl_seq`` is
@@ -74,6 +76,7 @@ CHUNK_HEADER_DTYPE = np.dtype([
     ("seq", "<i8"),
     ("ctl_seq", "<i8"),
 ])
+_HEADER_WORDS = len(CHUNK_HEADER_DTYPE.names)
 
 #: One scored window, returned through the verdict ring.
 VERDICT_DTYPE = np.dtype([
@@ -98,6 +101,9 @@ STATUS_VERDICTS = 4       # verdicts published
 STATUS_TRACKED = 5        # nodes with buffered worker-side state
 STATUS_STOPPED = 6        # worker exited its loop cleanly
 STATUS_FAILED = 7         # worker loop raised (crash, not kill)
+STATUS_WAITING = 8        # 1 from an empty pop to the next batch: push rings
+STATUS_BUSY_US = 9        # microseconds spent popping, scoring, publishing
+STATUS_WAKES = 10         # idle waits ended by a doorbell byte
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,7 @@ class ChunkRing:
         for i in range(spec.chunk_slots):
             off = base + i * slot_bytes
             self._headers.append(
-                np.frombuffer(buf, dtype=CHUNK_HEADER_DTYPE, count=1, offset=off)
+                np.frombuffer(buf, dtype="<i8", count=_HEADER_WORDS, offset=off)
             )
             pay = off + CHUNK_HEADER_DTYPE.itemsize
             self._timestamps.append(
@@ -184,9 +190,18 @@ class ChunkRing:
         return self.head - self.tail
 
     def try_push(
-        self, chunk: NodeSeries, schema_idx: int, seq: int, ctl_seq: int = 0
+        self,
+        chunk: NodeSeries,
+        schema_idx: int,
+        seq: int,
+        ctl_seq: int = 0,
+        columns: np.ndarray | None = None,
     ) -> bool:
-        """Write one chunk into the next free slot; False when the ring is full."""
+        """Write one chunk into the next free slot; False when the ring is full.
+
+        With *columns*, only those value columns travel, in that order
+        (*schema_idx* then names that layout).
+        """
         spec = self.spec
         if chunk.n_timestamps > spec.slot_samples or chunk.n_metrics > spec.slot_metrics:
             raise ValueError(
@@ -198,17 +213,14 @@ class ChunkRing:
         if head - self.tail >= spec.chunk_slots:
             return False
         slot = head % spec.chunk_slots
-        t, m = chunk.n_timestamps, chunk.n_metrics
+        values = chunk.values if columns is None else chunk.values[:, columns]
+        t, m = values.shape
         self._timestamps[slot][:t] = chunk.timestamps
-        self._values[slot][: t * m] = chunk.values.reshape(-1)
-        header = self._headers[slot]
-        header["job_id"] = chunk.job_id
-        header["component_id"] = chunk.component_id
-        header["n_timestamps"] = t
-        header["n_metrics"] = m
-        header["schema_idx"] = schema_idx
-        header["seq"] = seq
-        header["ctl_seq"] = ctl_seq
+        self._values[slot][: t * m] = values.reshape(-1)
+        # CHUNK_HEADER_DTYPE's fields, in order.
+        self._headers[slot][:] = (
+            chunk.job_id, chunk.component_id, t, m, schema_idx, seq, ctl_seq
+        )
         self._ctrl[0] = head + 1  # publish: payload writes precede this store
         return True
 
@@ -224,28 +236,27 @@ class ChunkRing:
         over the control channel before the first chunk carrying that
         index is ever pushed.  Payload views are **copied** before the
         tail advances: the slot is free for reuse the moment the pop is
-        visible.
+        visible.  The producer pushed validated series, so the copies are
+        not validated again.
         """
         out: list[tuple[int, int, NodeSeries]] = []
-        while len(out) < max_chunks:
-            tail = self.tail
-            if self.head - tail <= 0:
-                break
-            slot = tail % self.spec.chunk_slots
-            header = self._headers[slot]
-            t = int(header["n_timestamps"][0])
-            m = int(header["n_metrics"][0])
-            names, schema = resolve_schema(int(header["schema_idx"][0]))
-            series = NodeSeries(
-                int(header["job_id"][0]),
-                int(header["component_id"][0]),
-                np.array(self._timestamps[slot][:t]),
-                np.array(self._values[slot][: t * m]).reshape(t, m),
+        tail = self.tail
+        end = min(self.head, tail + max_chunks)
+        n_slots = self.spec.chunk_slots
+        for pos in range(tail, end):
+            slot = pos % n_slots
+            job, comp, t, m, schema_idx, seq, ctl_seq = self._headers[slot].tolist()
+            names, schema = resolve_schema(schema_idx)
+            series = NodeSeries._trusted(
+                job,
+                comp,
+                self._timestamps[slot][:t].copy(),
+                self._values[slot][: t * m].reshape(t, m).copy(),
                 names,
-                schema=schema,
+                schema,
             )
-            out.append((int(header["seq"][0]), int(header["ctl_seq"][0]), series))
-            self._ctrl[1] = tail + 1  # release the slot after the copy
+            out.append((seq, ctl_seq, series))
+            self._ctrl[1] = pos + 1  # release the slot after the copy
         return out
 
 
@@ -271,13 +282,23 @@ class VerdictRing:
     def __len__(self) -> int:
         return self.head - self.tail
 
-    def try_push(self, record: np.void) -> bool:
+    def push_many(self, records: np.ndarray) -> int:
+        """Write as many of *records* as fit, oldest first; returns how many.
+
+        One vectorised store per contiguous run of slots (at most two),
+        then one ``head`` bump publishes them all.
+        """
         head = self.head
-        if head - self.tail >= self.spec.verdict_slots:
-            return False
-        self._slots[head % self.spec.verdict_slots] = record
-        self._ctrl[0] = head + 1
-        return True
+        slots = self.spec.verdict_slots
+        n = min(len(records), slots - (head - self.tail))
+        if n <= 0:
+            return 0
+        start = head % slots
+        first = min(n, slots - start)
+        self._slots[start : start + first] = records[:first]
+        self._slots[: n - first] = records[first:n]
+        self._ctrl[0] = head + n
+        return n
 
     def pop_all(self, max_records: int | None = None) -> np.ndarray:
         """Copy every pending verdict record out (oldest first)."""

@@ -14,6 +14,14 @@ The fleet's two transports share one coordinator:
   (schema registrations, threshold updates, promotion fan-out, shutdown)
   rides a pipe.
 
+An idle worker blocks on a **doorbell** pipe instead of sleep-polling the
+ring: it sets the waiting word in its status block, re-checks the ring,
+and ``select``s on the doorbell and the control pipe for at most
+``_IDLE_SLEEP``.  A push that finds the waiting word set writes one byte
+to the doorbell, so a busy worker costs the coordinator no syscall per
+push, and a wake lost to the race between the word and the ring costs at
+most the timeout — the old poll interval.
+
 Crash accounting is coordinator-side: every pushed chunk stays on an
 in-flight ledger until the worker's ``scored_seq`` (published through the
 segment's status block *after* the batch's verdicts hit the verdict ring)
@@ -28,6 +36,7 @@ post-mortem.
 from __future__ import annotations
 
 import os
+import select
 import signal
 import time
 from collections import deque
@@ -38,6 +47,7 @@ import numpy as np
 
 from repro.fleet.shm import (
     STATUS_BATCHES,
+    STATUS_BUSY_US,
     STATUS_DRAINED,
     STATUS_FAILED,
     STATUS_HEARTBEAT,
@@ -45,17 +55,22 @@ from repro.fleet.shm import (
     STATUS_STOPPED,
     STATUS_TRACKED,
     STATUS_VERDICTS,
+    STATUS_WAITING,
+    STATUS_WAKES,
+    STATUS_WORDS,
     VERDICT_DTYPE,
     RingSpec,
     WorkerSegment,
 )
-from repro.monitoring.streaming import StreamVerdict
+from repro.monitoring.streaming import StreamVerdict, resolve_streaming_mode
 from repro.telemetry.frame import NodeSeries
 
 __all__ = ["RingSpec", "ProcessWorkerHandle", "process_transport_available"]
 
-#: Idle poll interval of the worker loop (seconds).  Short enough that a
-#: pump never waits long on a quiet worker, long enough not to burn a core.
+#: Longest idle wait of the worker loop (seconds): the doorbell's timeout,
+#: and the delay of a wake lost to the race with the waiting word.  Short
+#: enough that orphan checks keep their cadence, long enough not to burn a
+#: core.
 _IDLE_SLEEP = 0.0005
 
 #: Heartbeat-thread period.  The beat thread runs independently of the
@@ -95,25 +110,44 @@ def _apply_ctl(msg, stream, schemas: dict) -> bool:
     return True
 
 
-def _worker_main(worker_id, segment, ctl, pipeline, detector, stream_kwargs) -> None:
+def _verdict_records(verdicts: list[StreamVerdict]) -> np.ndarray:
+    return np.array(
+        [
+            (v.job_id, v.component_id, v.window_end, v.anomaly_score, v.alert, v.streak)
+            for v in verdicts
+        ],
+        dtype=VERDICT_DTYPE,
+    )
+
+
+def _worker_main(
+    worker_id, segment, ctl, doorbell, pipeline, detector, stream_kwargs
+) -> None:
     """Entry point of one scoring worker process.
 
     Loop: apply pending control messages, pop every available chunk from
     the ring, score the micro-batch through the private
     ``StreamingDetector``, publish the verdicts to the verdict ring, and
     only then advance ``scored_seq`` — so a chunk the coordinator sees as
-    scored always has its verdicts physically published.
+    scored always has its verdicts physically published.  With nothing to
+    pop, wait on the doorbell (module docstring).  *doorbell* is the
+    ``(read, write)`` pipe; the worker only reads.
     """
     import threading
 
     from repro.monitoring.streaming import StreamingDetector
-    from repro.runtime.instrumentation import Instrumentation
+    from repro.runtime.instrumentation import Instrumentation, get_instrumentation
 
     parent = os.getppid()
+    bell, bell_w = doorbell
+    os.close(bell_w)
+    idle_fds = (bell, ctl.fileno())
     status = segment.status
     applied_ctl = 0
-    # Score with private, silent instrumentation; any full extraction
-    # stays on the scoring thread.
+    # Score with private, silent instrumentation — the engine's and this
+    # process's copy of the global registry, which nobody reads — and
+    # keep any full extraction on the scoring thread.
+    get_instrumentation().enabled = False
     engine = getattr(pipeline, "engine", None)
     if engine is not None:
         engine.config = replace(engine.config, n_workers=1)
@@ -162,31 +196,44 @@ def _worker_main(worker_id, segment, ctl, pipeline, detector, stream_kwargs) -> 
         return schemas[idx]
 
     def publish(verdicts: list[StreamVerdict]) -> None:
-        for v in verdicts:
-            record = np.zeros((), dtype=VERDICT_DTYPE)
-            record["job_id"] = v.job_id
-            record["component_id"] = v.component_id
-            record["window_end"] = v.window_end
-            record["anomaly_score"] = v.anomaly_score
-            record["alert"] = int(v.alert)
-            record["streak"] = v.streak
-            while not segment.verdicts.try_push(record):
+        records = _verdict_records(verdicts)
+        done = 0
+        while done < len(records):
+            done += segment.verdicts.push_many(records[done:])
+            if done < len(records):
                 if orphaned():
                     raise RuntimeError("coordinator vanished with a full verdict ring")
                 time.sleep(_IDLE_SLEEP)
 
+    def wait_idle() -> None:
+        """Block until a push rings the doorbell, a control message
+        arrives, or ``_IDLE_SLEEP`` passes.
+
+        The waiting word stays raised until the next batch is popped, so
+        a push at any point of an idle spell rings the doorbell.
+        """
+        status[STATUS_WAITING] = 1
+        # Re-check after raising the word: a push that landed before the
+        # coordinator could see it would otherwise wait out the timeout.
+        if not len(segment.chunks):
+            ready, _, _ = select.select(idle_fds, (), (), _IDLE_SLEEP)
+            if bell in ready:
+                os.read(bell, 4096)
+                status[STATUS_WAKES] += 1
+
+    busy_ns = 0
     try:
         while True:
             while apply_ctl(False):
                 pass
+            start = time.perf_counter_ns()
             batch = segment.chunks.pop_many(segment.spec.chunk_slots, resolve_schema)
             if not batch:
-                if not running:
+                if not running or orphaned():
                     break
-                if orphaned():
-                    break
-                time.sleep(_IDLE_SLEEP)
+                wait_idle()
                 continue
+            status[STATUS_WAITING] = 0
             # Channel-ordering floor: everything the coordinator sent
             # before pushing these chunks must be applied before scoring
             # them (matches inline semantics, where a threshold set before
@@ -194,13 +241,16 @@ def _worker_main(worker_id, segment, ctl, pipeline, detector, stream_kwargs) -> 
             catch_up_ctl(max(ctl_seq for _, ctl_seq, _ in batch))
             verdicts = stream.ingest_many([chunk for _, _, chunk in batch])
             publish(verdicts)
-            # Publish-then-advance: scored_seq moving past a chunk implies
-            # its verdicts are already readable coordinator-side.
-            status[STATUS_SCORED_SEQ] = batch[-1][0]
+            busy_ns += time.perf_counter_ns() - start
             status[STATUS_DRAINED] += len(batch)
             status[STATUS_BATCHES] += 1
             status[STATUS_VERDICTS] += len(verdicts)
-            status[STATUS_TRACKED] = len(stream.tracked_nodes())
+            status[STATUS_TRACKED] = stream.n_tracked
+            status[STATUS_BUSY_US] = busy_ns // 1000
+            # Publish-then-advance, last: scored_seq moving past a chunk
+            # implies its verdicts are readable coordinator-side and the
+            # counters above already count its batch.
+            status[STATUS_SCORED_SEQ] = batch[-1][0]
         status[STATUS_STOPPED] = 1
     except Exception:  # pragma: no cover - crash path, exercised via SIGKILL tests
         status[STATUS_FAILED] = 1
@@ -208,6 +258,7 @@ def _worker_main(worker_id, segment, ctl, pipeline, detector, stream_kwargs) -> 
     finally:
         segment.release_views()
         ctl.close()
+        os.close(bell)
 
 
 # -- coordinator side ----------------------------------------------------------
@@ -225,6 +276,13 @@ class ProcessWorkerHandle:
     deque (drop-oldest beyond ``queue_capacity``, counted) and move into
     the ring as slots free up; ``queue_depth`` counts staged plus
     in-flight-unscored, mirroring the inline queue semantics.
+
+    A worker that runs the selected-feature plan only reads the plan's
+    input columns (:attr:`RollingPlan.input_columns
+    <repro.features.rolling.RollingPlan.input_columns>`), so only those
+    travel through the ring, under a schema index of their own; its
+    features are the bits the full chunk gives.  Salvage hands back the
+    full chunks.
     """
 
     transport = "process"
@@ -251,29 +309,43 @@ class ProcessWorkerHandle:
         self.queue_capacity = int(queue_capacity)
         self.spec = spec if spec is not None else RingSpec()
         self.instrumentation = instrumentation
+        self.pipeline = pipeline
+        self._push_plan_columns = (
+            resolve_streaming_mode(pipeline, stream_kwargs.get("streaming_mode"))
+            == "rolling"
+        )
         self.segment = WorkerSegment.create(self.spec)
         ctx = mp.get_context("fork")
         self._ctl, child_ctl = ctx.Pipe()
+        bell_r, self._bell = os.pipe()
+        os.set_blocking(bell_r, False)
+        os.set_blocking(self._bell, False)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, self.segment, child_ctl, pipeline, detector, stream_kwargs),
+            args=(worker_id, self.segment, child_ctl, (bell_r, self._bell),
+                  pipeline, detector, stream_kwargs),
             name=f"fleet-{worker_id}",
             daemon=True,
         )
         self.process.start()
         child_ctl.close()
+        os.close(bell_r)
+        self.pid = self.process.pid
+        #: the worker's exit code once it was reaped, else None
+        self.exitcode: int | None = None
 
         self._staged: deque[NodeSeries] = deque()
         self._inflight: deque[tuple[int, NodeSeries]] = deque()
         self._next_seq = 1
-        self._schema_idx: dict[tuple[str, ...], int] = {}
+        #: metric names -> (schema index, columns pushed or None for all)
+        self._layouts: dict[tuple[str, ...], tuple[int, np.ndarray | None]] = {}
         self._threshold = float(threshold) if threshold is not None else (
             float(detector.threshold_)
         )
         self._hb_seen = -1
         self._dead = False
         self._closed = False
-        self._final_words = [0] * 8
+        self._final_words = [0] * STATUS_WORDS
 
         # Inline-compatible counters.
         self.shed_chunks = 0
@@ -346,27 +418,41 @@ class ProcessWorkerHandle:
         self.ctl_messages += 1
         return True
 
-    def _schema_index(self, chunk: NodeSeries) -> int:
+    def _layout(self, chunk: NodeSeries) -> tuple[int, np.ndarray | None]:
         # Keyed on the column names: a schema's digest is the digest of its
         # flat names, so equal tuples are exactly the chunks that share a
         # digest, without hashing every name per pushed chunk.
         names = chunk.metric_names
-        idx = self._schema_idx.get(names)
-        if idx is None:
-            idx = len(self._schema_idx)
-            self._schema_idx[names] = idx
+        layout = self._layouts.get(names)
+        if layout is None:
+            columns = self._input_columns(names)
+            layout = self._layouts[names] = (len(self._layouts), columns)
+            if columns is None:
+                wire_names, schema = names, chunk.schema
+            else:  # the schema describes every column, so it stays behind
+                wire_names, schema = tuple(names[i] for i in columns), None
             # Register before the first push so the worker can always
             # resolve a header's schema_idx from its control channel.
-            self._send_ctl(("schema", idx, chunk.metric_names, chunk.schema))
-        return idx
+            self._send_ctl(("schema", layout[0], wire_names, schema))
+        return layout
+
+    def _input_columns(self, names: tuple[str, ...]) -> np.ndarray | None:
+        """The columns the worker's plan reads, or None to push them all."""
+        if not self._push_plan_columns:
+            return None
+        try:
+            columns = self.pipeline.plan(names).input_columns
+        except KeyError:
+            return None  # the worker raises the plan's error on the full chunk
+        return columns if 0 < len(columns) < len(names) else None
 
     def _push_staged(self) -> int:
         pushed = 0
         while self._staged:
             chunk = self._staged[0]
-            idx = self._schema_index(chunk)
+            idx, columns = self._layout(chunk)
             if not self.segment.chunks.try_push(
-                chunk, idx, self._next_seq, self.ctl_messages
+                chunk, idx, self._next_seq, self.ctl_messages, columns
             ):
                 self.ring_full_events += 1
                 break
@@ -375,7 +461,18 @@ class ProcessWorkerHandle:
             self._staged.popleft()
             pushed += 1
         self.pushed_chunks += pushed
+        if pushed and self.segment.status[STATUS_WAITING]:
+            self._ring_doorbell()
         return pushed
+
+    def _ring_doorbell(self) -> None:
+        """Wake the idle worker: one non-blocking byte on the doorbell."""
+        try:
+            os.write(self._bell, b"\x01")
+        except OSError:
+            # Full: unread wakes are pending already.  Broken: the worker
+            # is gone, and the liveness checks will declare it dead.
+            pass
 
     def _collect(self) -> list[StreamVerdict]:
         records = self.segment.verdicts.pop_all()
@@ -445,8 +542,8 @@ class ProcessWorkerHandle:
 
     def kill(self) -> None:
         """Fault injection: SIGKILL the worker process mid-whatever."""
-        if self.process.is_alive() and self.process.pid is not None:
-            os.kill(self.process.pid, signal.SIGKILL)
+        if self.exitcode is None and self.process.is_alive():
+            os.kill(self.pid, signal.SIGKILL)
 
     def finalize(self) -> tuple[list[StreamVerdict], list[NodeSeries]]:
         """Post-mortem: (final published verdicts, salvageable chunks).
@@ -458,9 +555,10 @@ class ProcessWorkerHandle:
         The segment is closed and unlinked; nothing leaks.
         """
         self._dead = True
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=5.0)
+        if self.exitcode is None:
+            if self.process.is_alive():
+                self.process.terminate()
+            self.process.join(timeout=5.0)
         verdicts = self._collect()
         scored = int(self.segment.status[STATUS_SCORED_SEQ])
         salvage = [chunk for seq, chunk in self._inflight if seq > scored]
@@ -470,6 +568,8 @@ class ProcessWorkerHandle:
         self._inflight.clear()
         self._staged.clear()
         self._dispose_segment()
+        self._close_pipes()
+        self._release_process()
         return verdicts, salvage
 
     def take_pending(self) -> list[NodeSeries]:
@@ -493,18 +593,39 @@ class ProcessWorkerHandle:
                 self.process.join(timeout=5.0)
         self._dead = True
         self._dispose_segment()
-        try:
-            self._ctl.close()
-        except OSError:  # pragma: no cover
-            pass
+        self._close_pipes()
+        self._release_process()
 
     def _dispose_segment(self) -> None:
         if self._closed:
             return
-        self._final_words = [int(w) for w in self.segment.status[:8]]
+        self._final_words = self.segment.status.tolist()
         self._closed = True
         self.segment.close()
         self.segment.unlink()
+
+    def _close_pipes(self) -> None:
+        """Close the coordinator's ends of the control pipe and doorbell."""
+        self._ctl.close()
+        if self._bell is not None:
+            os.close(self._bell)
+            self._bell = None
+
+    def _release_process(self) -> None:
+        """Record a reaped worker's exit code and close its ``Process``.
+
+        ``Process.close()`` releases the sentinel pipe the coordinator would
+        otherwise hold for as long as it keeps the dead handle; the object
+        answers nothing afterwards, so :attr:`pid` and :attr:`exitcode`
+        keep what status reports.
+        """
+        if self.exitcode is not None:
+            return
+        code = self.process.exitcode
+        if code is None:  # pragma: no cover - survived terminate()
+            return
+        self.exitcode = code
+        self.process.close()
 
     # -- reporting --------------------------------------------------------------
 
@@ -528,14 +649,11 @@ class ProcessWorkerHandle:
 
     def status(self) -> dict:
         """Snapshot from the status block — never calls into the worker."""
-        if self._closed:
-            words = self._final_words
-        else:
-            words = [int(w) for w in self.segment.status[:8]]
+        words = self._final_words if self._closed else self.segment.status.tolist()
         return {
             "worker_id": self.worker_id,
             "transport": "process",
-            "pid": self.process.pid,
+            "pid": self.pid,
             "responsive": self.responsive,
             "queued": self.queue_depth,
             "queue_capacity": self.queue_capacity,
@@ -543,6 +661,8 @@ class ProcessWorkerHandle:
             "shed_samples": self.shed_samples,
             "drained_chunks": words[STATUS_DRAINED],
             "batches": words[STATUS_BATCHES],
+            "busy_us": words[STATUS_BUSY_US],
+            "doorbell_wakes": words[STATUS_WAKES],
             "verdicts": self.verdicts,
             "tracked_nodes": words[STATUS_TRACKED],
             "scored_seq": words[STATUS_SCORED_SEQ],

@@ -16,6 +16,7 @@ an online detector should score.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 
 from repro.monitoring.streaming import StreamingDetector, StreamVerdict
@@ -69,6 +70,8 @@ class ScoringWorker:
         self.drained_chunks = 0
         self.batches = 0
         self.verdicts = 0
+        #: microseconds spent in ``ingest_many``, on this worker's clock
+        self.busy_us = 0
         #: tracked-node count as of the last drain — what ``status()``
         #: reports, so snapshots never race an in-progress batch.
         self._tracked_snapshot = 0
@@ -105,11 +108,13 @@ class ScoringWorker:
             return []
         take = len(self._queue) if max_chunks is None else min(max_chunks, len(self._queue))
         batch = [self._queue.popleft() for _ in range(take)]
+        start = time.perf_counter_ns()
         verdicts = self.stream.ingest_many(batch)
+        self.busy_us += (time.perf_counter_ns() - start) // 1000
         self.drained_chunks += take
         self.batches += 1
         self.verdicts += len(verdicts)
-        self._tracked_snapshot = len(self.stream.tracked_nodes())
+        self._tracked_snapshot = self.stream.n_tracked
         return verdicts
 
     def beating(self) -> bool:
@@ -177,6 +182,9 @@ class ScoringWorker:
             "shed_samples": self.shed_samples,
             "drained_chunks": self.drained_chunks,
             "batches": self.batches,
+            "busy_us": self.busy_us,
+            # Drained on the coordinator's thread: there is nothing to wake.
+            "doorbell_wakes": 0,
             "verdicts": self.verdicts,
             "tracked_nodes": self._tracked_snapshot,
         }

@@ -51,7 +51,7 @@ from repro.features.ringbuffer import NodeRingBuffer
 from repro.pipeline.datapipeline import DataPipeline
 from repro.telemetry.frame import NodeSeries
 
-__all__ = ["StreamVerdict", "StreamingDetector"]
+__all__ = ["StreamVerdict", "StreamingDetector", "resolve_streaming_mode"]
 
 #: Feature paths :class:`StreamingDetector` can be forced onto.
 STREAMING_MODES = ("batch", "rolling")
@@ -63,6 +63,29 @@ def _is_fitted(pipeline) -> bool:
         getattr(pipeline, "extractor", None) is not None
         and getattr(pipeline, "selected_names_", None) is not None
     )
+
+
+def resolve_streaming_mode(pipeline, streaming_mode: str | None) -> str:
+    """The feature path a :class:`StreamingDetector` on *pipeline* runs.
+
+    ``None`` picks ``"rolling"`` for a fitted :class:`DataPipeline` and
+    ``"batch"`` otherwise; a forced mode is checked against *pipeline*.
+    """
+    fitted = _is_fitted(pipeline)
+    if streaming_mode is None:
+        streaming_mode = "rolling" if fitted else "batch"
+    if streaming_mode not in STREAMING_MODES:
+        raise ValueError(
+            f"streaming_mode must be one of {STREAMING_MODES}, "
+            f"got {streaming_mode!r}"
+        )
+    if streaming_mode == "rolling" and not fitted:
+        raise ValueError(
+            "streaming_mode='rolling' needs a fitted DataPipeline "
+            "(extractor + selected feature names); duck-typed pipelines "
+            "run streaming_mode='batch'"
+        )
+    return streaming_mode
 
 
 @dataclass(frozen=True)
@@ -138,20 +161,7 @@ class StreamingDetector:
             raise ValueError("evaluate_every must be >= 1")
         if consecutive_alerts < 1:
             raise ValueError("consecutive_alerts must be >= 1")
-        fitted = _is_fitted(pipeline)
-        if streaming_mode is None:
-            streaming_mode = "rolling" if fitted else "batch"
-        if streaming_mode not in STREAMING_MODES:
-            raise ValueError(
-                f"streaming_mode must be one of {STREAMING_MODES}, "
-                f"got {streaming_mode!r}"
-            )
-        if streaming_mode == "rolling" and not fitted:
-            raise ValueError(
-                "streaming_mode='rolling' needs a fitted DataPipeline "
-                "(extractor + selected feature names); duck-typed pipelines "
-                "run streaming_mode='batch'"
-            )
+        streaming_mode = resolve_streaming_mode(pipeline, streaming_mode)
         self.pipeline = pipeline
         self.detector = detector
         self.window_seconds = float(window_seconds)
@@ -183,8 +193,9 @@ class StreamingDetector:
         Window bounds come from ``np.searchsorted`` over the (sorted)
         timestamps — O(T log T) over a replayed series instead of an O(T²)
         boolean mask per step.  The windows are extracted through the same
-        pipeline call as :meth:`ingest_many` and each row is scored on its
-        own, so calibration runs the feature path the stream runs.
+        pipeline call as :meth:`ingest_many` and scored in one detector
+        call, whose rows are the bits one call per window gives, so
+        calibration runs the feature and scoring path the stream runs.
         """
         windows: list[NodeSeries] = []
         step = self.evaluate_every
@@ -206,10 +217,7 @@ class StreamingDetector:
                     windows.append(window)
         if not windows:
             raise ValueError("no healthy windows long enough to calibrate on")
-        scores = [
-            float(self.detector.anomaly_score(row[None, :])[0])
-            for row in self._features(windows)
-        ]
+        scores = self.detector.anomaly_score(self._features(windows))
         self.threshold_ = float(np.percentile(scores, percentile))
         return self.threshold_
 
@@ -231,26 +239,32 @@ class StreamingDetector:
         them per (length after resampling, metric names) group — rolling
         mode runs the group's plan once, batch mode one full-extraction
         block — so concurrently-reporting nodes share one context per group
-        instead of one per window.  Verdicts (scoring, streaks, lifecycle
-        observation) are emitted sequentially in arrival order, one
-        detector call per window, as one chunk per call would; if a
-        lifecycle promotion hot-swaps the detector mid-batch, later windows
-        in the same batch are scored by the new model, matching sequential
-        semantics (their already-extracted features are model-independent).
+        instead of one per window.  Their rows are scored in one detector
+        call; a row's score is the same bits alone as in any batch
+        (:meth:`VAE.reconstruction_error <repro.core.vae.VAE.reconstruction_error>`),
+        so this equals one call per window.  Verdicts (streaks, lifecycle
+        observation) are then emitted sequentially in arrival order, as
+        one chunk per call would; if a lifecycle promotion hot-swaps the
+        detector at window k, the batch's later windows are rescored by
+        the new model in one call, matching sequential semantics (their
+        already-extracted features are model-independent).
         """
         pending = [p for p in map(self._buffer_chunk, chunks) if p is not None]
         if not pending:
             return []
-        windows = [window for _, window in pending]
         inst = self._instrumentation()
         if inst is not None:
             inst.count("microbatch_batches", 1)
-            inst.count("microbatch_windows", len(windows))
+            inst.count("microbatch_windows", len(pending))
+        rows = self._features([window for _, window in pending])
+        scores = self.detector.anomaly_score(rows)
         verdicts = []
-        for (key, window), row in zip(pending, self._features(windows)):
-            features = row[None, :]
-            score = float(self.detector.anomaly_score(features)[0])
-            verdicts.append(self._emit_verdict(key, window, features, score))
+        for k, (key, window) in enumerate(pending):
+            detector = self.detector
+            verdicts.append(self._emit_verdict(key, window, rows[k], float(scores[k])))
+            if self.detector is not detector and k + 1 < len(pending):
+                rescored = self.detector.anomaly_score(rows[k + 1 :])
+                scores = np.concatenate((scores[: k + 1], rescored))
         return verdicts
 
     def _features(self, windows: list[NodeSeries]) -> np.ndarray:
@@ -319,7 +333,8 @@ class StreamingDetector:
             return None
         state.since_last_eval = 0
         ts, vals = ring.window()
-        return key, NodeSeries(key[0], key[1], ts, vals, state.metric_names)
+        # The ring holds validated chunks in time order: nothing to re-check.
+        return key, NodeSeries._trusted(key[0], key[1], ts, vals, state.metric_names)
 
     def _emit_verdict(
         self,
@@ -328,7 +343,10 @@ class StreamingDetector:
         features: np.ndarray,
         score: float,
     ) -> StreamVerdict:
-        """Streak bookkeeping, lifecycle observation, and verdict assembly."""
+        """Streak bookkeeping, lifecycle observation, and verdict assembly.
+
+        *features* is the window's scaled feature row ``(F,)``.
+        """
         state = self._states[key]
         over = score > self.threshold_
         state.streak = state.streak + 1 if over else 0
@@ -342,7 +360,7 @@ class StreamingDetector:
         )
         if self.lifecycle is not None:
             promoted = self.lifecycle.observe_window(
-                window, features[0], score,
+                window, features, score,
                 alert=verdict.alert, active_detector=self.detector,
             )
             if promoted is not None:
@@ -395,6 +413,12 @@ class StreamingDetector:
     def reset(self, job_id: int, component_id: int) -> None:
         """Forget a node's buffered telemetry (job ended / node reassigned)."""
         self._states.pop((job_id, component_id), None)
+
+    @property
+    def n_tracked(self) -> int:
+        """How many nodes have buffered state: ``len(tracked_nodes())``
+        without building and sorting the list."""
+        return len(self._states)
 
     def tracked_nodes(self) -> list[tuple[int, int]]:
         """Node keys with buffered state, deterministically sorted.

@@ -100,13 +100,11 @@ def _tanh_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Numerically stable split form.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # Numerically stable split form, 1/(1+e^-x) for x >= 0 and e^x/(1+e^x)
+    # below, with both halves from e = exp(-|x|) <= 1: elementwise the same
+    # operations as masking each half out, without the masked copies.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _sigmoid_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:

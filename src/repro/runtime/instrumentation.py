@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 __all__ = ["STAGES", "StageStats", "Instrumentation", "get_instrumentation"]
@@ -62,6 +61,30 @@ class StageStats:
         return 0.0 if self.seconds <= 0 else self.items / self.seconds
 
 
+class _StageTimer:
+    """Context manager of :meth:`Instrumentation.stage`: one slotted
+    object per block instead of a generator frame."""
+
+    __slots__ = ("_inst", "_name", "_items", "_start")
+
+    def __init__(self, inst: "Instrumentation", name: str, items: int):
+        self._inst = inst
+        self._name = name
+        self._items = items
+        self._start = None
+
+    def __enter__(self) -> None:
+        if self._inst.enabled:
+            self._start = time.perf_counter()
+
+    def __exit__(self, *exc) -> bool:
+        if self._start is not None:
+            self._inst.record(
+                self._name, time.perf_counter() - self._start, items=self._items
+            )
+        return False
+
+
 class Instrumentation:
     """Thread-safe registry of stage timers and named counters."""
 
@@ -73,17 +96,13 @@ class Instrumentation:
 
     # -- recording -----------------------------------------------------------
 
-    @contextmanager
-    def stage(self, name: str, *, items: int = 0):
-        """Time a block as one call of stage *name* covering *items* items."""
-        if not self.enabled:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record(name, time.perf_counter() - start, items=items)
+    def stage(self, name: str, *, items: int = 0) -> _StageTimer:
+        """Time a block as one call of stage *name* covering *items* items.
+
+        The block is recorded when it exits, also when it raises; nothing
+        is recorded while the registry is disabled.
+        """
+        return _StageTimer(self, name, items)
 
     def record(self, name: str, seconds: float, *, items: int = 0) -> None:
         if not self.enabled:

@@ -101,8 +101,8 @@ def fleet_sections(status: dict[str, Any]) -> list[tuple[str, list, list]]:
         (
             f"fleet (tick {status.get('tick', 0)}, {transport} transport, "
             f"{len(status.get('alive', []))}/{status.get('n_workers', 0)} workers alive)",
-            ["worker", "alive", "queued", "drained", "batches", "verdicts",
-             "shed", "tracked"],
+            ["worker", "alive", "queued", "drained", "batches", "busy ms",
+             "wakes", "verdicts", "shed", "tracked"],
             [
                 [
                     w["worker_id"],
@@ -110,6 +110,8 @@ def fleet_sections(status: dict[str, Any]) -> list[tuple[str, list, list]]:
                     w["queued"],
                     w["drained_chunks"],
                     w["batches"],
+                    w.get("busy_us", 0) / 1e3,
+                    w.get("doorbell_wakes", 0),
                     w["verdicts"],
                     w["shed_chunks"],
                     w["tracked_nodes"],

@@ -108,6 +108,36 @@ class NodeSeries:
                 f"the series metric names"
             )
 
+    @classmethod
+    def _trusted(
+        cls,
+        job_id: int,
+        component_id: int,
+        timestamps: np.ndarray,
+        values: np.ndarray,
+        metric_names: tuple[str, ...],
+        schema: "MetricSchema | None" = None,
+    ) -> NodeSeries:
+        """A series built from arrays that already passed ``__post_init__``.
+
+        For the streaming hot path only: chunks copied out of a transport
+        ring (the producer pushed validated series) and windows
+        snapshotted from a node ring (filled from validated chunks, in
+        time order).  The caller guarantees float64 arrays of matching
+        shapes, strictly increasing timestamps, a name tuple and a
+        matching schema; nothing is re-checked.  Every public construction
+        keeps all of its checks.
+        """
+        series = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(series, "job_id", job_id)
+        setattr_(series, "component_id", component_id)
+        setattr_(series, "timestamps", timestamps)
+        setattr_(series, "values", values)
+        setattr_(series, "metric_names", metric_names)
+        setattr_(series, "schema", schema)
+        return series
+
     # -- introspection ------------------------------------------------------
 
     @property

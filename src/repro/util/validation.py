@@ -58,7 +58,7 @@ def check_array(
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not allow_empty and arr.size == 0:
         raise ValueError(f"{name} must not be empty")
-    if finite and arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+    if finite and arr.dtype.kind == "f" and not np.isfinite(arr).all():
         n_bad = int(np.sum(~np.isfinite(arr)))
         raise ValueError(f"{name} contains {n_bad} non-finite value(s)")
     return arr

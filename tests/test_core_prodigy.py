@@ -144,3 +144,48 @@ class TestPersistence:
     def test_unfitted_state_raises(self):
         with pytest.raises(NotFittedError):
             ProdigyDetector().get_state()
+
+
+class TestScoringContract:
+    """A row's score is the same bits alone as in any batch of any order.
+
+    Streaming scores each micro-batch in one call and calibration all its
+    windows at once, so this is what makes them agree with one call per
+    window.  The detector has perfbench's shape: 64 features, trunk
+    (64, 32), latent 8.
+    """
+
+    @pytest.fixture(scope="class")
+    def scored(self):
+        rng = np.random.default_rng(29)
+        train = rng.random((160, 64))
+        det = ProdigyDetector(
+            hidden_dims=(64, 32), latent_dim=8, epochs=3, batch_size=16,
+            patience=None, seed=3,
+        ).fit(train)
+        rows = rng.random((96, 64)) * 1.2 - 0.1
+        return det, rows, det.anomaly_score(rows)
+
+    def test_rows_invariant_to_batch_height(self, scored):
+        det, rows, full = scored
+        for w in range(1, 97):
+            for start in range(0, 96, w):
+                got = det.anomaly_score(rows[start : start + w])
+                assert np.array_equal(got, full[start : start + w]), (
+                    f"rows {start}..{start + w - 1} scored in a batch of {w}"
+                )
+
+    def test_rows_invariant_to_batch_order(self, scored):
+        det, rows, full = scored
+        perm = np.random.default_rng(31).permutation(96)
+        assert np.array_equal(det.anomaly_score(rows[perm]), full[perm])
+
+    def test_reconstruction_skips_the_logvar_head(self, scored, monkeypatch):
+        det, rows, full = scored
+
+        def forbidden(x):
+            raise AssertionError("deterministic scoring ran the logvar head")
+
+        monkeypatch.setattr(det.vae_.logvar_head, "forward", forbidden)
+        assert np.array_equal(det.anomaly_score(rows), full)
+        assert det.vae_.reconstruct(rows[:1]).shape == (1, 64)

@@ -165,6 +165,18 @@ class TestScoringWorker:
         assert worker.drained_chunks == 4
         assert worker.queue_depth == 0
 
+    def test_status_reports_the_process_worker_counters(self):
+        worker = self.make(capacity=8)
+        before = worker.status()
+        assert (before["busy_us"], before["batches"], before["doorbell_wakes"]) == (0, 0, 0)
+        for chunk in node_chunks(1, 0, n=40, size=10):
+            worker.enqueue(chunk)
+        worker.drain()
+        after = worker.status()
+        assert after["busy_us"] > 0 and after["batches"] == 1
+        assert after["doorbell_wakes"] == 0  # drained inline: nothing to wake
+        assert after["tracked_nodes"] == 1
+
     def test_killed_worker_rejects_and_salvages(self):
         worker = self.make(capacity=8)
         chunks = node_chunks(1, 0, n=30, size=10)

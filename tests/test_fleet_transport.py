@@ -219,11 +219,11 @@ class TestVerdictRing:
     SPEC = RingSpec(chunk_slots=2, slot_samples=8, slot_metrics=2,
                     verdict_slots=4)
 
-    def _record(self, comp, score):
-        rec = np.zeros((), dtype=VERDICT_DTYPE)
-        rec["job_id"], rec["component_id"] = 9, comp
-        rec["window_end"], rec["anomaly_score"] = float(comp), score
-        rec["alert"], rec["streak"] = score > 0.5, 1
+    def _records(self, comps):
+        rec = np.zeros(len(comps), dtype=VERDICT_DTYPE)
+        rec["job_id"], rec["component_id"] = 9, comps
+        rec["window_end"] = rec["anomaly_score"] = 0.25 * np.asarray(comps)
+        rec["alert"], rec["streak"] = rec["anomaly_score"] > 0.5, 1
         return rec
 
     def test_roundtrip_and_wraparound(self):
@@ -232,17 +232,32 @@ class TestVerdictRing:
             ring = seg.verdicts
             got = []
             for i in range(4):
-                assert ring.try_push(self._record(i, 0.25 * i))
-            assert not ring.try_push(self._record(99, 0.0))  # full
+                assert ring.push_many(self._records([i])) == 1
+            assert ring.push_many(self._records([99])) == 0  # full
             got.append(ring.pop_all())
             for i in range(4, 6):
-                assert ring.try_push(self._record(i, 0.25 * i))
+                assert ring.push_many(self._records([i])) == 1
             got.append(ring.pop_all())
             records = np.concatenate(got)
             assert list(records["component_id"]) == [0, 1, 2, 3, 4, 5]
             np.testing.assert_allclose(records["anomaly_score"],
                                        0.25 * np.arange(6))
             assert ring.pop_all().size == 0
+        finally:
+            ring = None  # drop the test's ring views before unmapping
+            seg.close()
+            seg.unlink()
+
+    def test_batch_push_wraps_and_stops_when_full(self):
+        seg = WorkerSegment.create(self.SPEC)
+        try:
+            ring = seg.verdicts
+            assert ring.push_many(self._records([0, 1, 2])) == 3
+            assert list(ring.pop_all(2)["component_id"]) == [0, 1]
+            # Three free slots, two of them past the wrap: five offered.
+            assert ring.push_many(self._records([3, 4, 5, 6, 7])) == 3
+            assert ring.push_many(self._records([8])) == 0
+            assert list(ring.pop_all()["component_id"]) == [2, 3, 4, 5]
         finally:
             ring = None  # drop the test's ring views before unmapping
             seg.close()
@@ -339,6 +354,163 @@ class TestProcessWorkerHandle:
             assert int(handle.segment.status[STATUS_HEARTBEAT]) > 0
         finally:
             handle.close()
+
+
+    def test_idle_worker_wakes_for_a_pushed_chunk(self):
+        # A second of idling parks the worker on its doorbell; the push
+        # must ring it, and the chunk's window must come back scored.
+        handle = ProcessWorkerHandle(
+            "wi", EnginePipeline(), MeanDetector(), dict(STREAM_KW))
+        try:
+            chunks = node_chunks(1, 0, n=20, size=10)
+            handle.enqueue(chunks[0])
+            drain_until_idle(handle)
+            time.sleep(1.0)
+            wakes = handle.status()["doorbell_wakes"]
+            handle.enqueue(chunks[1])
+            verdicts = drain_until_idle(handle, timeout=10)
+            assert [v.window_end for v in verdicts] == [19.0]
+            # A push that lands while the worker runs its loop between two
+            # waits still leaves its byte, which ends the next wait.
+            deadline = time.monotonic() + 5
+            while handle.status()["doorbell_wakes"] == wakes and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert handle.status()["doorbell_wakes"] > wakes
+        finally:
+            handle.close()
+
+    def test_push_that_loses_its_wake_is_scored_within_the_timeout(self):
+        # A push landing between the worker's ring re-check and its wait
+        # sees the waiting word too late or too early; model the lost
+        # byte by never ringing: the wait's timeout must still find it.
+        handle = ProcessWorkerHandle(
+            "wr", EnginePipeline(), MeanDetector(), dict(STREAM_KW))
+        handle._ring_doorbell = lambda: None
+        try:
+            time.sleep(0.2)
+            for chunk in node_chunks(1, 0, n=20, size=10):
+                handle.enqueue(chunk)
+            verdicts = drain_until_idle(handle, timeout=10)
+            assert [v.window_end for v in verdicts] == [9.0, 19.0]
+            assert handle.status()["doorbell_wakes"] == 0
+        finally:
+            handle.close()
+
+    def test_counters_advance_after_a_burst(self):
+        handle = ProcessWorkerHandle(
+            "wc", EnginePipeline(), MeanDetector(), dict(STREAM_KW),
+            queue_capacity=64)
+        try:
+            before = handle.status()
+            assert (before["busy_us"], before["batches"]) == (0, 0)
+            for chunk in fleet_chunks():
+                handle.enqueue(chunk)
+            drain_until_idle(handle)
+            after = handle.status()
+        finally:
+            handle.close()
+        assert after["busy_us"] > 0
+        assert after["batches"] >= 1
+        assert after["doorbell_wakes"] >= 0
+        assert handle.status()["busy_us"] == after["busy_us"]  # kept past close
+
+
+@requires_fork
+class TestPlanColumnTransport:
+    def test_only_plan_columns_travel_and_verdicts_match_inline(self):
+        from test_rolling import _fit_deployment, _make_series
+
+        rng = np.random.default_rng(17)
+        names = tuple(f"m{i}" for i in range(6))
+        series = [_make_series(160, names, 3, comp, rng) for comp in range(3)]
+        selected = [f"{m}|{f}" for m in ("m1", "m4")
+                    for f in ("mean", "quantile_q0.9", "c3_lag1")]
+        pipeline, detector = _fit_deployment(series, names=selected)
+        chunks = interleave([
+            [NodeSeries(s.job_id, s.component_id, s.timestamps[i:i + 8],
+                        s.values[i:i + 8], names) for i in range(0, 160, 8)]
+            for s in series
+        ])
+        kw = dict(window_seconds=40, evaluate_every=10, consecutive_alerts=1)
+        oracle = StreamingDetector(pipeline, detector, **kw)
+        expected = [v for c in chunks if (v := oracle.ingest(c)) is not None]
+
+        handle = ProcessWorkerHandle(
+            "wp", pipeline, detector, kw, queue_capacity=len(chunks))
+        sent = []
+        send_ctl = handle._send_ctl
+
+        def record(msg):
+            sent.append(msg)
+            return send_ctl(msg)
+
+        handle._send_ctl = record
+        try:
+            for chunk in chunks:
+                handle.enqueue(chunk)
+            verdicts = drain_until_idle(handle)
+        finally:
+            handle.close()
+        assert [msg[2] for msg in sent if msg[0] == "schema"] == [("m1", "m4")]
+        assert verdicts == expected  # scores bit for bit
+
+
+def open_fds() -> set[int] | None:
+    """This process's open file descriptors, where /proc shows them."""
+    path = "/proc/self/fd"
+    return set(map(int, os.listdir(path))) if os.path.isdir(path) else None
+
+
+def fd_is_open(fd: int) -> bool:
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+@requires_fork
+class TestProcessWorkerResources:
+    """Start, close() and SIGKILL leave no descriptor or segment behind."""
+
+    def _handle(self, name):
+        return ProcessWorkerHandle(
+            name, EnginePipeline(), MeanDetector(), dict(STREAM_KW))
+
+    def _check_released(self, stop):
+        self._handle("warm").close()  # starts the shm resource tracker once
+        fds, segments = open_fds(), shm_entries()
+        handle = self._handle("wl")
+        own = [handle._bell, handle._ctl.fileno()]
+        for chunk in node_chunks(1, 0, n=20, size=10):
+            handle.enqueue(chunk)
+        drain_until_idle(handle)
+        stop(handle)
+        assert not any(map(fd_is_open, own)), "doorbell or control pipe left open"
+        if segments is not None:
+            assert shm_entries() - segments == set(), "leaked shared-memory segment"
+        # Checked while the handle lives on, as a dead worker's does in
+        # the coordinator: the Process sentinel pipe must be closed too.
+        if fds is not None:
+            assert open_fds() - fds == set(), "leaked file descriptors"
+        assert handle.exitcode is not None
+        assert handle.status()["pid"] == handle.pid
+
+    def test_close_releases_everything(self):
+        def stop(handle):
+            handle.close()
+            handle.close()  # idempotent
+
+        self._check_released(stop)
+
+    def test_sigkill_salvage_releases_everything(self):
+        def stop(handle):
+            handle.kill()
+            handle.process.join(timeout=10)
+            handle.finalize()
+            handle.close()  # a no-op after the salvage
+
+        self._check_released(stop)
 
 
 # -- coordinator over the process transport ----------------------------------
@@ -526,7 +698,7 @@ class TestProcessShutdown:
             verdicts = fleet.run_stream(iter(fleet_chunks()), pump_every=4)
         assert verdicts
         for worker in fleet.workers.values():
-            assert not worker.process.is_alive()
+            assert worker.exitcode == 0
         after = shm_entries()
         if before is not None:
             assert after - before == set(), "leaked shared-memory segments"

@@ -564,6 +564,27 @@ class TestRollingParity:
         assert plan.calibrate(series) == oracle.calibrate(series)
         assert plan.runtime_stats()["rolling"]["fallback_calc_runs"] > 0
 
+    def test_calibrate_matches_one_call_per_window(self, rolling_deployment):
+        """Calibration scores every window in one call; the threshold is the
+        bits of one pipeline call and one detector call per window."""
+        pipeline, detector, series = rolling_deployment
+        stream = StreamingDetector(pipeline, detector, window_seconds=60, evaluate_every=12)
+        threshold = stream.calibrate(series, percentile=97.0)
+        scores = []
+        for s in series:
+            ts = s.timestamps
+            for end in range(12, s.n_timestamps + 1, 12):
+                lo = int(np.searchsorted(ts[:end], ts[end - 1] - 60, side="left"))
+                if end - lo < 8 or ts[end - 1] - ts[lo] < 30:
+                    continue
+                window = NodeSeries(
+                    s.job_id, s.component_id, ts[lo:end], s.values[lo:end], s.metric_names
+                )
+                row = pipeline.transform_series([window])
+                scores.append(float(detector.anomaly_score(row)[0]))
+        assert len(scores) > 40
+        assert threshold == float(np.percentile(scores, 97.0))
+
 
 #: Metrics the resampling deployment's extractor pins, out of m0..m5.
 PINNED = ("m0", "m2", "m3", "m5")

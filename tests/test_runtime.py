@@ -281,6 +281,16 @@ class TestInstrumentation:
         inst.reset()
         assert inst.snapshot() == {"stages": {}, "counters": {}}
 
+    def test_stage_records_a_block_that_raises(self):
+        inst = Instrumentation()
+        with pytest.raises(KeyError):
+            with inst.stage("extract", items=4):
+                raise KeyError("boom")
+        stats = inst.stage_stats("extract")
+        assert (stats.calls, stats.items) == (1, 4) and stats.seconds >= 0
+        timer = inst.stage("extract")
+        assert timer.__exit__(None, None, None) is False  # never swallows
+
     def test_disabled_registry_records_nothing(self):
         inst = Instrumentation(enabled=False)
         with inst.stage("score", items=10):
