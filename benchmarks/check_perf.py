@@ -76,8 +76,8 @@ Scenario check: the heterogeneous-fleet path end to end — simulate the
 load, mixed-schema pipeline fit, and masked scoring — with two parity
 assertions: homogeneous synthesis is bit-identical to the frozen
 pre-schema-refactor synthesizer (``tests/oracles/workloads.py``), and the
-schema-partitioned ``extract_table`` is bit-identical to the dense
-``extract_matrix`` on a homogeneous fleet.
+engine's schema-partitioned ``extract_table`` is bit-identical to the
+dense ``extract_matrix`` on a homogeneous fleet.
 
 The frozen oracles live under ``tests/oracles/``, outside the installed
 package; importing this module puts ``tests/`` on ``sys.path`` so they
@@ -354,8 +354,6 @@ def _fit_deployment(
     """Fit a small (pipeline, detector) over *train* on a cache-less engine."""
     from repro.core import ProdigyDetector
     from repro.features import FeatureExtractor
-    from repro.features.scaling import make_scaler
-    from repro.features.selection import ChiSquareSelector
     from repro.pipeline import DataPipeline
     from repro.runtime import ExecutionConfig, Instrumentation, ParallelExtractor
 
@@ -364,14 +362,8 @@ def _fit_deployment(
         config=ExecutionConfig(n_workers=1, cache_size=0),
         instrumentation=Instrumentation(enabled=False),
     )
-    features, feature_names = engine.extract_matrix(train)
-    n_keep = min(48, features.shape[1])
-    var = features.var(axis=0)
-    keep = np.sort(np.lexsort((np.arange(var.size), -var))[:n_keep])
-    pipeline = DataPipeline(engine, n_features=n_keep)
-    pipeline.selected_names_ = tuple(feature_names[i] for i in keep)
-    pipeline.selector_ = ChiSquareSelector.sentinel(pipeline.selected_names_, var[keep])
-    pipeline.scaler_ = make_scaler(pipeline.scaler_kind).fit(features[:, keep])
+    pipeline = DataPipeline(engine, n_features=48)
+    pipeline.fit_from_series(train)
     scaled = pipeline.transform_series(train)
     detector = ProdigyDetector(
         hidden_dims=(16, 8), latent_dim=4, epochs=20, batch_size=16,
@@ -1024,6 +1016,7 @@ def run_scenario_check() -> dict:
     from oracles.workloads import PreRefactorSynthesizer
     from repro.core import Prodigy
     from repro.features.extraction import FeatureExtractor
+    from repro.runtime import ExecutionConfig, Instrumentation, ParallelExtractor
     from repro.scenarios import get_scenario, load_scenario_series, simulate_scenario
     from repro.util.rng import ensure_rng
     from repro.workloads import default_catalog, zero_drivers
@@ -1095,7 +1088,12 @@ def run_scenario_check() -> dict:
     # -- grouping parity: dense path unchanged on homogeneous fleets -------
     homogeneous = [s for s in series if s.schema_digest == next(iter(digests))]
     fx = FeatureExtractor()
-    table = fx.extract_table(homogeneous)
+    engine = ParallelExtractor(
+        fx,
+        config=ExecutionConfig(cache_size=0),
+        instrumentation=Instrumentation(enabled=False),
+    )
+    table = engine.extract_table(homogeneous)
     dense, dense_names = fx.extract_matrix(homogeneous)
     result["parity"]["grouping_bit_identical"] = bool(
         table.is_dense

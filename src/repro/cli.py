@@ -54,12 +54,7 @@ import numpy as np
 from repro.anomalies import TABLE2_INJECTORS
 from repro.core import Prodigy
 from repro.eval import classification_report
-from repro.runtime import (
-    ExecutionConfig,
-    ParallelExtractor,
-    get_instrumentation,
-    set_execution_config,
-)
+from repro.runtime import ExecutionConfig, get_instrumentation, set_execution_config
 from repro.telemetry.frame import TelemetryFrame
 from repro.telemetry.io import read_csv, write_csv
 from repro.telemetry.preprocessing import standard_preprocess
@@ -234,10 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fl.add_argument("--fleet-workers", type=int, default=2,
                     help="scoring workers on the ring (run)")
-    fl.add_argument("--transport", choices=["inline", "process"], default=None,
-                    help="worker transport: inline (cooperative, one thread) or "
-                         "process (one OS process per worker over shared-memory "
-                         "rings); default: PRODIGY_FLEET_TRANSPORT or inline")
+    fl.add_argument("--transport", choices=["inline", "process"], default="inline",
+                    help="worker transport: inline (cooperative, one thread; "
+                         "default) or process (one OS process per worker over "
+                         "shared-memory rings)")
     fl.add_argument("--nodes", type=int, default=8, help="streaming nodes (run)")
     fl.add_argument("--metrics", type=int, default=6, help="metrics per node (run)")
     fl.add_argument("--samples", type=int, default=120,
@@ -501,7 +496,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         print(f"error: job {args.job} not found in {args.telemetry}", file=sys.stderr)
         return 2
     scores = prodigy.anomaly_score(series)
-    preds = prodigy.predict(series)
+    preds = (scores > prodigy.detector.threshold_).astype(np.int64)
     if args.json:
         print(json.dumps(
             [
@@ -541,7 +536,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
     scores = prodigy.anomaly_score(series)
-    preds = prodigy.predict(series)
+    preds = (scores > prodigy.detector.threshold_).astype(np.int64)
     classes = [_series_class_name(s, scenario) for s in series]
     per_class: dict[str, dict[str, int]] = {}
     for name, p in zip(classes, preds):
@@ -672,8 +667,6 @@ def cmd_runtime(args: argparse.Namespace) -> int:
     """Self-benchmark the runtime layer and report per-stage timings."""
     from repro.core import ProdigyDetector
     from repro.features import FeatureExtractor
-    from repro.features.scaling import make_scaler
-    from repro.features.selection import ChiSquareSelector
     from repro.pipeline import DataPipeline
     from repro.telemetry import NodeSeries
 
@@ -686,18 +679,12 @@ def cmd_runtime(args: argparse.Namespace) -> int:
         NodeSeries(1, c, np.arange(180.0), rng.random((180, args.metrics)), names)
         for c in range(args.samples)
     ]
-    engine = ParallelExtractor(FeatureExtractor(resample_points=64))
-    features, feature_names = engine.extract_matrix(series)  # cold extraction
+    # An unlabeled (variance-ranked) fit on a cold extraction + a tiny
+    # detector, so extract/select/scale/score all show up.
+    pipeline = DataPipeline(FeatureExtractor(resample_points=64), n_features=64)
+    pipeline.fit_from_series(series)
+    engine = pipeline.engine
     engine.extract_matrix(series)  # warm: served from the feature cache
-
-    # A sentinel-fitted pipeline + tiny detector so select/scale/score show up.
-    n_keep = min(64, features.shape[1])
-    var = features.var(axis=0)
-    keep = np.sort(np.lexsort((np.arange(var.size), -var))[:n_keep])
-    pipeline = DataPipeline(engine, n_features=n_keep)
-    pipeline.selected_names_ = tuple(feature_names[i] for i in keep)
-    pipeline.selector_ = ChiSquareSelector.sentinel(pipeline.selected_names_, var[keep])
-    pipeline.scaler_ = make_scaler(pipeline.scaler_kind).fit(features[:, keep])
     scaled = pipeline.transform_series(series)
     detector = ProdigyDetector(
         hidden_dims=(16, 8), latent_dim=4, epochs=20, batch_size=16,
@@ -832,17 +819,14 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
 
 
 def _fleet_deployment(n_nodes: int, n_metrics: int, n_samples: int, seed: int):
-    """Sentinel-fitted deployment plus per-node synthetic streams.
+    """Unlabeled fit of a tiny deployment plus per-node synthetic streams.
 
     The same fast-deployment pattern as ``runtime stats``: variance-ranked
-    feature selection via a sentinel selector and a tiny detector, fitted
-    on the synthetic fleet telemetry itself.  Returns
-    ``(pipeline, detector, series)``.
+    feature selection (no labels) and a tiny detector, fitted on the
+    synthetic fleet telemetry itself.  Returns ``(pipeline, detector, series)``.
     """
     from repro.core import ProdigyDetector
     from repro.features import FeatureExtractor
-    from repro.features.scaling import make_scaler
-    from repro.features.selection import ChiSquareSelector
     from repro.pipeline import DataPipeline
     from repro.telemetry import NodeSeries
 
@@ -853,15 +837,8 @@ def _fleet_deployment(n_nodes: int, n_metrics: int, n_samples: int, seed: int):
                    rng.random((n_samples, n_metrics)), names)
         for c in range(n_nodes)
     ]
-    engine = ParallelExtractor(FeatureExtractor(resample_points=32))
-    features, feature_names = engine.extract_matrix(series)
-    n_keep = min(48, features.shape[1])
-    var = features.var(axis=0)
-    keep = np.sort(np.lexsort((np.arange(var.size), -var))[:n_keep])
-    pipeline = DataPipeline(engine, n_features=n_keep)
-    pipeline.selected_names_ = tuple(feature_names[i] for i in keep)
-    pipeline.selector_ = ChiSquareSelector.sentinel(pipeline.selected_names_, var[keep])
-    pipeline.scaler_ = make_scaler(pipeline.scaler_kind).fit(features[:, keep])
+    pipeline = DataPipeline(FeatureExtractor(resample_points=32), n_features=48)
+    pipeline.fit_from_series(series)
     detector = ProdigyDetector(
         hidden_dims=(16, 8), latent_dim=4, epochs=20, batch_size=16,
         learning_rate=1e-3, seed=seed,
@@ -1202,8 +1179,7 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(args, "workers"):
         try:
             config = ExecutionConfig.resolve(
-                n_workers=args.workers, cache_size=args.cache_size,
-                fleet_transport=getattr(args, "transport", None),
+                n_workers=args.workers, cache_size=args.cache_size
             )
         except ValueError as exc:
             print(f"repro-prodigy: error: {exc}", file=sys.stderr)

@@ -16,12 +16,7 @@ import numpy as np
 from repro.core.prodigy import ProdigyDetector
 from repro.features.extraction import FeatureExtractor
 from repro.pipeline.datapipeline import DataPipeline
-from repro.pipeline.modeltrainer import (
-    ModelTrainer,
-    load_detector,
-    reference_arrays,
-    training_fingerprint,
-)
+from repro.pipeline.modeltrainer import ModelTrainer, fit_detector, load_detector
 from repro.runtime.config import ExecutionConfig
 from repro.telemetry.frame import NodeSeries
 from repro.util.rng import derive_seed, ensure_rng
@@ -90,56 +85,18 @@ class Prodigy:
         """Extract, select, scale, and train on healthy samples.
 
         Without labels every run is assumed healthy (the production
-        assumption); Chi-square selection then degrades to variance ranking
-        inside the pipeline's fallback, so supplying even a few labeled
-        anomalous runs is recommended.
+        assumption) and selection ranks features by variance; supplying
+        even a few labeled anomalous runs lets the Chi-square test select
+        instead, which is recommended.
         """
         series = list(series)
         y = None if labels is None else np.asarray(labels, dtype=np.int64)
-        mixed = len({s.schema_digest for s in series}) > 1
-        if mixed:
-            samples = self.pipeline.extractor.extract_mixed(series, y)
-        else:
-            samples = self.pipeline.engine.extract(series, y)
-        if y is not None and samples.n_anomalous > 0:
-            self.pipeline.fit(samples)
-        else:
-            # Healthy-only: keep the top-variance features (no labels for chi2).
-            features = samples.features
-            from repro.features.scaling import make_scaler
-            from repro.features.selection import ChiSquareSelector
-
-            if samples.present is None:
-                var = features.var(axis=0)
-            else:
-                # Mask-aware variance: absent cells are not observations.
-                p = samples.present
-                cnt = p.sum(axis=0).astype(np.float64)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    mean = np.where(p, features, 0.0).sum(axis=0) / cnt
-                    mean_sq = np.where(p, features * features, 0.0).sum(axis=0) / cnt
-                var = mean_sq - mean**2
-                var[~np.isfinite(var)] = 0.0
-            order = np.lexsort((np.arange(var.size), -var))
-            keep = np.sort(order[: self.pipeline.n_features])
-            names = [samples.feature_names[i] for i in keep]
-
-            self.pipeline.selected_names_ = tuple(names)
-            scaler = make_scaler(self.pipeline.scaler_kind)
-            if samples.present is None:
-                scaler.fit(features[:, keep])
-            else:
-                scaler.fit(features[:, keep], present=samples.present[:, keep])
-            self.pipeline.scaler_ = scaler
-            self.pipeline.selector_ = ChiSquareSelector.sentinel(
-                names, var[keep], k=self.pipeline.n_features
-            )
-
-        transformed = self.pipeline.transform_samples(samples)
-        self.detector.fit(transformed.features, y, present=transformed.present)
+        samples = self.pipeline.engine.extract(series, y)
+        self.pipeline.fit(samples)
         # Lineage + drift reference, persisted by save() for the lifecycle layer.
-        self._fingerprint = training_fingerprint(samples)
-        self._reference = reference_arrays(self.detector, transformed.features, y)
+        self._fingerprint, self._reference = fit_detector(
+            self.pipeline, self.detector, samples
+        )
         self._healthy_references = [
             s for s, label in zip(series, samples.labels) if label != 1
         ][:25]

@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.features.alignment import FeatureTable, align_feature_groups
 from repro.features.calculators import Calculator, calculator_names, default_calculators
 from repro.features.context import MetricBlockContext
 from repro.telemetry.frame import NodeSeries
@@ -199,7 +198,7 @@ class FeatureExtractor:
                     f"series (job_id={s.job_id}, component_id={s.component_id}) "
                     f"diverges from the metric names of (job_id={series[0].job_id}, "
                     f"component_id={series[0].component_id}): {detail}; pass "
-                    f"metrics=... or use extract_table() for mixed-schema fleets"
+                    f"metrics=... or use ParallelExtractor.extract_table() for mixed-schema fleets"
                 )
             if self.resample_points is not None:
                 s = s.resample(self.resample_points)
@@ -244,8 +243,12 @@ class FeatureExtractor:
         *,
         app_names: Sequence[str] | None = None,
         anomaly_names: Sequence[str] | None = None,
+        present: np.ndarray | None = None,
     ) -> SampleSet:
-        """Wrap an already-extracted matrix into a provenance-carrying SampleSet."""
+        """Wrap an already-extracted matrix into a provenance-carrying SampleSet.
+
+        *present* is the mixed-schema presence mask, if any.
+        """
         return SampleSet(
             features,
             names,
@@ -254,63 +257,10 @@ class FeatureExtractor:
             component_ids=np.array([s.component_id for s in series], dtype=np.int64),
             app_names=app_names,
             anomaly_names=anomaly_names,
+            present=present,
         )
 
     def extract_single(self, series: NodeSeries) -> np.ndarray:
         """Feature row ``(1, F)`` for one run — the online-inference path."""
         features, _ = self.extract_matrix([series])
         return features
-
-    # -- schema-partitioned extraction -------------------------------------------
-
-    def extract_table(self, series: Sequence[NodeSeries]) -> FeatureTable:
-        """Schema-partitioned extraction onto the union feature axis.
-
-        Series are grouped by :attr:`~repro.telemetry.frame.NodeSeries.schema_digest`
-        (first-appearance order), each group extracted as its own dense
-        ``(N_g, T, M_g)`` batch, and the per-group matrices aligned into a
-        :class:`~repro.features.alignment.FeatureTable` with an explicit
-        presence mask.  A homogeneous fleet forms exactly one group, so its
-        features and names are bit-identical to :meth:`extract_matrix`.
-        """
-        series = list(series)
-        if not series:
-            raise ValueError("need at least one NodeSeries")
-        partitions: dict[str, list[int]] = {}
-        for i, s in enumerate(series):
-            partitions.setdefault(s.schema_digest, []).append(i)
-        groups = []
-        for rows in partitions.values():
-            feats, names = self.extract_matrix([series[i] for i in rows])
-            groups.append((rows, feats, names))
-        return align_feature_groups(groups, len(series))
-
-    def extract_mixed(
-        self,
-        series: Sequence[NodeSeries],
-        labels: np.ndarray | Sequence[int] | None = None,
-        *,
-        app_names: Sequence[str] | None = None,
-        anomaly_names: Sequence[str] | None = None,
-    ) -> SampleSet:
-        """Like :meth:`extract` but tolerates a mixed-schema fleet.
-
-        The returned :class:`SampleSet` carries the presence mask; for a
-        homogeneous fleet the mask is dense and the features match
-        :meth:`extract` exactly.
-        """
-        series = list(series)
-        validate_aligned(
-            len(series), labels=labels, app_names=app_names, anomaly_names=anomaly_names
-        )
-        table = self.extract_table(series)
-        return SampleSet(
-            table.features,
-            table.feature_names,
-            None if labels is None else np.asarray(labels),
-            job_ids=np.array([s.job_id for s in series], dtype=np.int64),
-            component_ids=np.array([s.component_id for s in series], dtype=np.int64),
-            app_names=app_names,
-            anomaly_names=anomaly_names,
-            present=None if table.is_dense else table.present,
-        )

@@ -11,6 +11,10 @@ counts.
 Features are min-max normalised to [0, 1] internally before the test (the
 Chi-square statistic requires non-negative "frequencies"; the paper applies
 its scaler before selection for the same reason).
+
+A set without a single anomalous row — the production case, healthy runs
+only — has no class to test against; the selector then keeps the
+highest-variance features instead.
 """
 
 from __future__ import annotations
@@ -76,6 +80,22 @@ def chi2_scores(
     return terms.sum(axis=0)
 
 
+def _masked_variance(
+    features: np.ndarray, present: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column variance over the observed cells, and their counts.
+
+    A column observed nowhere has variance 0.
+    """
+    cnt = present.sum(axis=0).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.where(present, features, 0.0).sum(axis=0) / cnt
+        mean_sq = np.where(present, features * features, 0.0).sum(axis=0) / cnt
+    var = mean_sq - mean**2
+    var[~np.isfinite(var)] = 0.0
+    return var, cnt
+
+
 class VarianceThreshold:
     """Drops (near-)constant feature columns before the Chi-square test."""
 
@@ -106,7 +126,10 @@ class VarianceThreshold:
 
 
 class ChiSquareSelector:
-    """Top-k Chi-square feature selection over a labeled :class:`SampleSet`.
+    """Top-k feature selection over a :class:`SampleSet`.
+
+    Chi-square ranking when the set has anomalous rows, variance ranking
+    when it has none (see :meth:`fit`).
 
     The fitted selector records the chosen feature *names*, so it can be
     applied to any later SampleSet sharing the extraction layout — this is
@@ -118,7 +141,8 @@ class ChiSquareSelector:
         Number of features to keep (paper sweeps 250/500/1000/2000 and
         settles on 2000; scaled datasets use proportionally fewer).
     variance_threshold:
-        Pre-filter threshold for near-constant columns.
+        Pre-filter threshold for near-constant columns before the
+        Chi-square test.
     """
 
     def __init__(self, k: int = 256, *, variance_threshold: float = 1e-12):
@@ -139,10 +163,10 @@ class ChiSquareSelector:
     ) -> "ChiSquareSelector":
         """A fitted selector carrying predetermined names and scores.
 
-        Used when selection happened outside the Chi-square test — the
-        healthy-only variance fallback and deployment-metadata reload —
-        so those paths share one construction instead of hand-assembling
-        selector internals.  ``scores`` must align with ``names``.
+        Used where the selection was made earlier and is only reloaded —
+        :meth:`DataPipeline.from_state` rebuilds a deployment's selector
+        from its persisted metadata this way.  ``scores`` must align with
+        ``names``.
         """
         names = tuple(str(n) for n in names)
         scores = np.asarray(scores, dtype=np.float64)
@@ -159,12 +183,42 @@ class ChiSquareSelector:
         return selector
 
     def fit(self, samples: SampleSet) -> "ChiSquareSelector":
-        """Select features on a SampleSet containing both classes.
+        """Select features on a SampleSet.
+
+        A set with anomalous rows runs the Chi-square test over its
+        labeled rows.  A set with none — unlabeled, or healthy only, the
+        production case — has no class to test against, so every column
+        is ranked by its variance over all rows instead; constant columns
+        are kept when ``k`` exceeds the varying ones.
 
         Mixed-schema SampleSets (those carrying a presence mask) are scored
         mask-aware: variance, min-max normalisation and the Chi-square test
         all run over each column's observed cells only, so 0-filled absent
         cells never masquerade as measurements.
+        """
+        if samples.n_anomalous == 0:
+            if samples.present is None:
+                scores = samples.features.var(axis=0)
+            else:
+                scores, _ = _masked_variance(samples.features, samples.present)
+            k = min(self.k, scores.size)
+        else:
+            scores, k = self._chi2_scores(samples)
+        # Stable top-k: sort by (-score, column index).
+        order = np.lexsort((np.arange(scores.size), -scores))
+        top = np.sort(order[:k])
+        names = np.asarray(samples.feature_names, dtype=object)
+        self.selected_names_ = tuple(str(n) for n in names[top])
+        self.scores_ = scores
+        self._ranked = sorted(
+            ((str(names[i]), float(scores[i])) for i in top), key=lambda p: -p[1]
+        )
+        return self
+
+    def _chi2_scores(self, samples: SampleSet) -> tuple[np.ndarray, int]:
+        """Chi-square score of every column over the labeled rows, and k.
+
+        Near-constant columns score 0 and are never among the k kept.
         """
         labeled = samples.subset(samples.labels != -1)
         x = labeled.features
@@ -181,12 +235,7 @@ class ChiSquareSelector:
             scores_var = chi2_scores((x_var - mn) / rng, y)
         else:
             p = labeled.present
-            cnt = p.sum(axis=0).astype(np.float64)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mean = np.where(p, x, 0.0).sum(axis=0) / cnt
-                mean_sq = np.where(p, x * x, 0.0).sum(axis=0) / cnt
-            var = mean_sq - mean**2
-            var[~np.isfinite(var)] = 0.0
+            var, cnt = _masked_variance(x, p)
             var_mask = (var > self.variance_threshold) & (cnt >= 2)
             if not var_mask.any():
                 raise ValueError("all features are constant; nothing to select")
@@ -198,17 +247,7 @@ class ChiSquareSelector:
             scores_var = chi2_scores(scaled, y, present=p_var)
         scores = np.zeros(x.shape[1])
         scores[var_mask] = scores_var
-        k = min(self.k, int(var_mask.sum()))
-        # Stable top-k: sort by (-score, column index).
-        order = np.lexsort((np.arange(scores.size), -scores))
-        top = np.sort(order[:k])
-        names = np.asarray(samples.feature_names, dtype=object)
-        self.selected_names_ = tuple(str(n) for n in names[top])
-        self.scores_ = scores
-        self._ranked = sorted(
-            ((str(names[i]), float(scores[i])) for i in top), key=lambda p: -p[1]
-        )
-        return self
+        return scores, min(self.k, int(var_mask.sum()))
 
     def transform(self, samples: SampleSet) -> SampleSet:
         check_fitted(self, ["selected_names_"])

@@ -62,7 +62,6 @@ from repro.fleet.transport import ProcessWorkerHandle, process_transport_availab
 from repro.fleet.worker import ScoringWorker
 from repro.monitoring.streaming import StreamingDetector, StreamVerdict
 from repro.pipeline.datapipeline import DataPipeline
-from repro.runtime.config import get_execution_config
 from repro.runtime.instrumentation import Instrumentation, get_instrumentation
 from repro.telemetry.frame import NodeSeries
 
@@ -87,12 +86,11 @@ class FleetCoordinator:
     n_workers / worker_ids:
         Pool size (ids default to ``w0..wN-1``).
     transport:
-        ``"inline"`` or ``"process"``; ``None`` resolves from
-        :func:`~repro.runtime.config.get_execution_config` (the
-        ``PRODIGY_FLEET_TRANSPORT`` environment knob).  ``"process"``
-        falls back to inline — with the reason recorded in
-        :attr:`transport_fallback` and ``status()`` — where ``fork`` is
-        unavailable.
+        ``"inline"`` (cooperatively scheduled on the coordinator thread —
+        the parity oracle) or ``"process"`` (one OS process per worker fed
+        over shared-memory rings).  ``"process"`` falls back to inline —
+        with the reason recorded in :attr:`transport_fallback` and
+        ``status()`` — where ``fork`` is unavailable.
     queue_capacity:
         Per-worker ingest bound (drop-oldest beyond it).
     high_watermark:
@@ -134,7 +132,7 @@ class FleetCoordinator:
         *,
         n_workers: int = 2,
         worker_ids: list[str] | None = None,
-        transport: str | None = None,
+        transport: str = "inline",
         queue_capacity: int = 256,
         high_watermark: int | None = None,
         heartbeat_timeout: int = 2,
@@ -155,8 +153,6 @@ class FleetCoordinator:
             raise ValueError("worker ids must be unique")
         if heartbeat_timeout < 1:
             raise ValueError("heartbeat_timeout must be >= 1")
-        if transport is None:
-            transport = get_execution_config().fleet_transport
         if transport not in ("inline", "process"):
             raise ValueError(f"unknown fleet transport {transport!r}")
         self.transport_fallback: str | None = None

@@ -82,8 +82,10 @@ class DataPipeline:
     # -- offline -------------------------------------------------------------
 
     def fit(self, samples: SampleSet) -> "DataPipeline":
-        """Fit selection on the labeled SampleSet, then the scaler on it.
+        """Fit selection on the SampleSet, then the scaler on it.
 
+        Selection runs the Chi-square test when the set has anomalous rows
+        and ranks by variance when it has none (:meth:`ChiSquareSelector.fit`).
         Mixed-schema SampleSets (carrying a presence mask) fit mask-aware:
         selection scores each column over its observed cells and the min-max
         scaler learns per-column ranges from observations only.
@@ -107,20 +109,16 @@ class DataPipeline:
     def fit_from_series(
         self,
         series: Sequence[NodeSeries],
-        labels: np.ndarray,
+        labels: np.ndarray | None = None,
         **extract_kwargs,
     ) -> tuple["DataPipeline", SampleSet]:
         """Extract + fit in one step; returns (self, transformed SampleSet).
 
-        A homogeneous fleet takes the parallel dense path unchanged; a fleet
-        spanning several metric schemas is partitioned by schema digest and
-        aligned onto the union feature axis with a presence mask.
+        Without labels (or without an anomalous one) selection ranks by
+        variance.  A fleet spanning several metric schemas is extracted per
+        schema and aligned with a presence mask (:meth:`ParallelExtractor.extract`).
         """
-        series = list(series)
-        if len({s.schema_digest for s in series}) > 1:
-            samples = self.extractor.extract_mixed(series, labels, **extract_kwargs)
-        else:
-            samples = self.engine.extract(series, labels, **extract_kwargs)
+        samples = self.engine.extract(series, labels, **extract_kwargs)
         self.fit(samples)
         return self, self.transform_samples(samples)
 

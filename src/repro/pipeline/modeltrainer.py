@@ -25,7 +25,13 @@ from repro.pipeline.datapipeline import DataPipeline
 from repro.telemetry.sampleset import SampleSet
 from repro.util.persistence import ArtifactBundle
 
-__all__ = ["ModelTrainer", "load_detector", "training_fingerprint", "reference_arrays"]
+__all__ = [
+    "ModelTrainer",
+    "fit_detector",
+    "load_detector",
+    "training_fingerprint",
+    "reference_arrays",
+]
 
 _FORMAT_VERSION = 1
 _SUPPORTED_VERSIONS = (1,)
@@ -68,6 +74,27 @@ def reference_arrays(
     return {"scores": np.asarray(scores, dtype=np.float64), "features": healthy}
 
 
+def fit_detector(
+    pipeline: DataPipeline, detector: ProdigyDetector, samples: SampleSet
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """The training step of every deployment fit: ``(fingerprint, reference)``.
+
+    Transforms the raw extracted *samples* through the fitted *pipeline*
+    and fits *detector* on the healthy rows — anomalous rows dropped when
+    the set carries labels, every row when it is all unlabeled — with the
+    presence mask, so a mixed fleet's threshold comes from the masked
+    errors it is scored by.  Returns the training fingerprint and the
+    drift reference profile.
+    """
+    transformed = pipeline.transform_samples(samples)
+    labels = None if np.all(transformed.labels == -1) else transformed.labels
+    detector.fit(transformed.features, labels, present=transformed.present)
+    return (
+        training_fingerprint(samples),
+        reference_arrays(detector, transformed.features, labels),
+    )
+
+
 class ModelTrainer:
     """Trains and persists a Prodigy deployment.
 
@@ -90,16 +117,14 @@ class ModelTrainer:
         self.reference_: dict[str, np.ndarray] | None = None
 
     def train(self, samples: SampleSet) -> ProdigyDetector:
-        """Fit the detector on pipeline-transformed samples and persist.
+        """Fit the detector (:func:`fit_detector`) and persist.
 
         ``samples`` is the raw extracted SampleSet (labels included so
         healthy-only training can drop anomalous rows).
         """
-        transformed = self.pipeline.transform_samples(samples)
-        labels = None if np.all(transformed.labels == -1) else transformed.labels
-        self.detector.fit(transformed.features, labels)
-        self.fingerprint_ = training_fingerprint(samples)
-        self.reference_ = reference_arrays(self.detector, transformed.features, labels)
+        self.fingerprint_, self.reference_ = fit_detector(
+            self.pipeline, self.detector, samples
+        )
         self.save()
         return self.detector
 

@@ -1,8 +1,8 @@
 """Execution configuration for the shared extraction/inference runtime.
 
 One small frozen object carries every knob of the runtime layer — worker
-count, cache capacity, instrumentation on/off, fleet transport, gateway
-cache — and is resolvable from three sources with a fixed precedence:
+count, cache capacity, instrumentation on/off — and is resolvable from
+three sources with a fixed precedence:
 
     explicit argument  >  ``PRODIGY_*`` environment  >  process default
 
@@ -20,14 +20,10 @@ from typing import Callable, Mapping
 
 __all__ = [
     "ExecutionConfig",
-    "FLEET_TRANSPORTS",
     "get_execution_config",
     "set_execution_config",
     "usable_cpus",
 ]
-
-#: Valid values of :attr:`ExecutionConfig.fleet_transport`.
-FLEET_TRANSPORTS = ("inline", "process")
 
 _FALSY = {"0", "false", "no", "off", ""}
 
@@ -51,10 +47,6 @@ def _parse_int(key: str, raw: str) -> int | None:
 
 def _parse_flag(key: str, raw: str) -> bool:
     return raw.strip().lower() not in _FALSY
-
-
-def _parse_choice(key: str, raw: str) -> str | None:
-    return raw.strip().lower() or None
 
 
 def _knob(default, env: str, parse: Callable[[str, str], object]):
@@ -81,38 +73,17 @@ class ExecutionConfig:
         :class:`~repro.runtime.instrumentation.Instrumentation` registry.
         An environment value of ``0``/``false``/``no``/``off`` or blank
         turns it off.
-    fleet_transport:
-        How the fleet coordinator runs its scoring workers: ``"inline"``
-        (cooperatively scheduled on the coordinator thread — the parity
-        oracle) or ``"process"`` (one OS process per worker fed over
-        shared-memory rings; falls back to inline where ``fork`` is
-        unavailable).
-    gateway_cache_size:
-        Response-cache entries kept by the serving gateway
-        (:class:`~repro.serving.gateway.ResponseCache`); ``0`` disables
-        response caching.
     """
 
     n_workers: int = _knob(usable_cpus(), "PRODIGY_WORKERS", _parse_int)
     cache_size: int = _knob(512, "PRODIGY_CACHE_SIZE", _parse_int)
     instrument: bool = _knob(True, "PRODIGY_INSTRUMENT", _parse_flag)
-    fleet_transport: str = _knob("inline", "PRODIGY_FLEET_TRANSPORT", _parse_choice)
-    gateway_cache_size: int = _knob(256, "PRODIGY_GATEWAY_CACHE", _parse_int)
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
-        if self.gateway_cache_size < 0:
-            raise ValueError(
-                f"gateway_cache_size must be >= 0, got {self.gateway_cache_size}"
-            )
-        if self.fleet_transport not in FLEET_TRANSPORTS:
-            raise ValueError(
-                f"fleet_transport must be one of {FLEET_TRANSPORTS}, "
-                f"got {self.fleet_transport!r}"
-            )
 
     @classmethod
     def from_env(cls, env: Mapping[str, str] | None = None) -> "ExecutionConfig":

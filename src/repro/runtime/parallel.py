@@ -19,6 +19,10 @@ runtime services every consumer needs:
   and repeated fits over shared datasets skip extraction entirely;
 * **instrumentation** — the ``extract`` stage timer and cache hit/miss
   counters feed the global registry surfaced by ``runtime stats``.
+
+It is also where mixed-schema fleets are partitioned: ``extract`` and
+``extract_table`` run each metric schema's series through the services
+above as one dense batch and align the groups onto the union feature axis.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.features.alignment import FeatureTable, align_feature_groups
 from repro.features.extraction import (
     FeatureExtractor,
     compute_block,
@@ -44,6 +49,14 @@ from repro.telemetry.frame import NodeSeries
 from repro.telemetry.sampleset import SampleSet
 
 __all__ = ["ParallelExtractor"]
+
+
+def _schema_partitions(series: Sequence[NodeSeries]) -> list[list[int]]:
+    """Indices of *series* per schema digest, in first-appearance order."""
+    partitions: dict[str, list[int]] = {}
+    for i, s in enumerate(series):
+        partitions.setdefault(s.schema_digest, []).append(i)
+    return list(partitions.values())
 
 
 def _run_threaded(task: Callable[[int], None], n_tasks: int, workers: int) -> None:
@@ -153,16 +166,49 @@ class ParallelExtractor:
         app_names: Sequence[str] | None = None,
         anomaly_names: Sequence[str] | None = None,
     ) -> SampleSet:
-        """Engine-routed equivalent of :meth:`FeatureExtractor.extract`."""
+        """Engine-routed :meth:`FeatureExtractor.extract` that takes mixed fleets.
+
+        Series of one metric schema take the dense path (no alignment
+        copy, no presence mask).  A fleet spanning several schemas is
+        extracted per schema as in :meth:`extract_table`, and the
+        SampleSet carries the table's presence mask.
+        """
         series = list(series)
         validate_aligned(
             len(series), labels=labels, app_names=app_names, anomaly_names=anomaly_names
         )
-        features, names = self.extract_matrix(series)
+        present = None
+        if len(_schema_partitions(series)) > 1:
+            table = self.extract_table(series)
+            features, names = table.features, table.feature_names
+            if not table.is_dense:
+                present = table.present
+        else:
+            features, names = self.extract_matrix(series)
         return self.extractor.package(
             series, features, names, labels,
-            app_names=app_names, anomaly_names=anomaly_names,
+            app_names=app_names, anomaly_names=anomaly_names, present=present,
         )
+
+    def extract_table(self, series: Sequence[NodeSeries]) -> FeatureTable:
+        """Schema-partitioned extraction onto the union feature axis.
+
+        Series are grouped by :attr:`~repro.telemetry.frame.NodeSeries.schema_digest`
+        (first-appearance order), each group extracted by
+        :meth:`extract_matrix` as its own dense ``(N_g, T, M_g)`` batch, and
+        the per-group matrices aligned into a
+        :class:`~repro.features.alignment.FeatureTable` with an explicit
+        presence mask.  A homogeneous fleet forms exactly one group, so its
+        features and names are bit-identical to :meth:`extract_matrix`.
+        """
+        series = list(series)
+        if not series:
+            raise ValueError("need at least one NodeSeries")
+        groups = []
+        for rows in _schema_partitions(series):
+            features, names = self.extract_matrix([series[i] for i in rows])
+            groups.append((rows, features, names))
+        return align_feature_groups(groups, len(series))
 
     def extract_single(self, series: NodeSeries) -> np.ndarray:
         """Feature row ``(1, F)`` for one run — the online-inference path."""
@@ -244,7 +290,6 @@ class ParallelExtractor:
                 "n_workers": self.config.n_workers,
                 "cache_size": self.config.cache_size,
                 "instrument": self.config.instrument,
-                "fleet_transport": self.config.fleet_transport,
             },
             "scheduler": self._last_plan,
             "cache": self.cache.stats() if self.cache is not None else None,

@@ -40,7 +40,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.runtime.config import get_execution_config
 from repro.runtime.instrumentation import Instrumentation, get_instrumentation
 from repro.serving.errors import ServingError, error_envelope
 from repro.serving.service import AnalyticsService
@@ -473,8 +472,7 @@ class ServingGateway:
     tenants:
         Admission contracts; at least one.
     cache_size:
-        Response-cache entries (default:
-        :attr:`ExecutionConfig.gateway_cache_size`; ``0`` disables caching).
+        Response-cache entries; ``0`` disables caching.
     version_source:
         Callable returning the serving model-version tag.  Defaults to the
         attached lifecycle registry's active version (``"unversioned"``
@@ -490,7 +488,7 @@ class ServingGateway:
         service: AnalyticsService,
         tenants: Sequence[TenantSpec],
         *,
-        cache_size: int | None = None,
+        cache_size: int = 256,
         cacheable: frozenset[str] | None = None,
         version_source: Callable[[], str] | None = None,
         instrumentation: Instrumentation | None = None,
@@ -500,8 +498,6 @@ class ServingGateway:
         self._clock = clock
         self.instrumentation = instrumentation or get_instrumentation()
         self.scheduler = RequestScheduler(tenants)
-        if cache_size is None:
-            cache_size = get_execution_config().gateway_cache_size
         self.cache = ResponseCache(cache_size)
         self.cacheable = CACHEABLE_DASHBOARDS if cacheable is None else cacheable
         self.tracker = SloTracker()

@@ -386,8 +386,8 @@ class SeriesBank:
         return np.array(sorted(self._by_job), dtype=np.int64)
 
 
-def sentinel_deployment(series: Sequence[NodeSeries], *, seed: int = 0, n_keep: int = 48):
-    """Variance-ranked sentinel pipeline + tiny detector fitted on *series*.
+def demo_deployment(series: Sequence[NodeSeries], *, seed: int = 0, n_keep: int = 48):
+    """Variance-ranked pipeline + tiny detector fitted on unlabeled *series*.
 
     The same fast-deployment pattern as ``runtime stats`` / ``fleet run``:
     no chi-square search, no real training campaign — just enough of a
@@ -395,20 +395,10 @@ def sentinel_deployment(series: Sequence[NodeSeries], *, seed: int = 0, n_keep: 
     """
     from repro.core import ProdigyDetector
     from repro.features import FeatureExtractor
-    from repro.features.scaling import make_scaler
-    from repro.features.selection import ChiSquareSelector
     from repro.pipeline import DataPipeline
-    from repro.runtime import ParallelExtractor
 
-    engine = ParallelExtractor(FeatureExtractor(resample_points=32))
-    features, feature_names = engine.extract_matrix(list(series))
-    n_keep = min(n_keep, features.shape[1])
-    var = features.var(axis=0)
-    keep = np.sort(np.lexsort((np.arange(var.size), -var))[:n_keep])
-    pipeline = DataPipeline(engine, n_features=n_keep)
-    pipeline.selected_names_ = tuple(feature_names[i] for i in keep)
-    pipeline.selector_ = ChiSquareSelector.sentinel(pipeline.selected_names_, var[keep])
-    pipeline.scaler_ = make_scaler(pipeline.scaler_kind).fit(features[:, keep])
+    pipeline = DataPipeline(FeatureExtractor(resample_points=32), n_features=n_keep)
+    pipeline.fit_from_series(series)
     detector = ProdigyDetector(
         hidden_dims=(16, 8), latent_dim=4, epochs=20, batch_size=16,
         learning_rate=1e-3, seed=seed,
@@ -430,7 +420,7 @@ def demo_gateway(
     n_samples: int = 96,
     seed: int = 0,
     tenants: Sequence[TenantSpec] | None = None,
-    cache_size: int | None = None,
+    cache_size: int = 256,
     version_source: Callable[[], str] | None = None,
     healthy_references: int = 0,
 ):
@@ -438,7 +428,7 @@ def demo_gateway(
 
     Synthesises ``n_jobs`` healthy jobs plus one anomalous job (node 0's
     telemetry shifted far out of distribution so the detector reliably
-    flags it), fits a sentinel deployment on the healthy jobs, and wraps
+    flags it), fits a variance-ranked deployment on the healthy jobs, and wraps
     it in a two-tier-ready gateway.  Returns
     ``(gateway, service, job_ids, anomalous_job)``.
 
@@ -480,7 +470,7 @@ def demo_gateway(
         else:
             values = healthy_values()
         anomaly_rows.append(NodeSeries(anomalous_job, comp, t, values, names))
-    pipeline, detector = sentinel_deployment(healthy, seed=seed)
+    pipeline, detector = demo_deployment(healthy, seed=seed)
     bank = SeriesBank(healthy + anomaly_rows)
     detector_service = AnomalyDetectorService(bank, pipeline, detector)
     refs = healthy[:healthy_references] if healthy_references else None

@@ -129,3 +129,65 @@ class TestChiSquareSelector:
         s = SampleSet(np.column_stack([noise, signal]), ["noise", "signal"], y)
         sel = ChiSquareSelector(k=1).fit(s)
         assert sel.selected_names_ == ("signal",)
+
+
+class TestVarianceRule:
+    """A set with no anomalous row is ranked by per-column variance."""
+
+    @staticmethod
+    def unlabeled_set(labels=None):
+        rng = np.random.default_rng(3)
+        n = 30
+        # Column variances grow with the index: f3 > f2 > f1 > f0; f4 constant.
+        x = np.column_stack(
+            [rng.permutation(np.linspace(0.0, 1.0, n)) * (i + 1) for i in range(4)]
+            + [np.full(n, 2.0)]
+        )
+        return SampleSet(x, [f"f{i}" for i in range(5)], labels)
+
+    def test_unlabeled_keeps_top_variance_in_column_order(self):
+        s = self.unlabeled_set()
+        sel = ChiSquareSelector(k=2).fit(s)
+        assert sel.selected_names_ == ("f2", "f3")
+        np.testing.assert_array_equal(sel.scores_, s.features.var(axis=0))
+        assert [name for name, _ in sel.top_features(2)] == ["f3", "f2"]
+
+    def test_all_healthy_and_all_unlabeled_rank_alike(self):
+        base = ChiSquareSelector(k=3).fit(self.unlabeled_set())
+        for labels in (np.zeros(30, dtype=int), np.full(30, -1)):
+            sel = ChiSquareSelector(k=3).fit(self.unlabeled_set(labels))
+            assert sel.selected_names_ == base.selected_names_
+            np.testing.assert_array_equal(sel.scores_, base.scores_)
+
+    def test_variance_spans_unlabeled_rows_too(self):
+        # f0 is constant over the labeled rows and varies over the rest.
+        x = np.column_stack([[1.0, 1.0, 1.0, 5.0, -5.0, 9.0], np.arange(6.0) * 0.1])
+        s = SampleSet(x, ["f0", "f1"], [0, 0, 0, -1, -1, -1])
+        assert ChiSquareSelector(k=1).fit(s).selected_names_ == ("f0",)
+
+    def test_ties_broken_by_column_index(self):
+        col = np.array([0.0, 1.0, 0.0, 1.0])
+        s = SampleSet(np.column_stack([col * 0.5, col, col, col]), ["a", "b", "c", "d"])
+        assert ChiSquareSelector(k=2).fit(s).selected_names_ == ("b", "c")
+
+    def test_constant_columns_kept_when_k_exceeds_varying(self):
+        s = self.unlabeled_set()
+        sel = ChiSquareSelector(k=100).fit(s)
+        assert sel.selected_names_ == ("f0", "f1", "f2", "f3", "f4")
+
+    def test_masked_variance_on_mixed_set(self):
+        # f0 is observed on half the rows only, constant there: its 0-fill
+        # would give it the largest variance; observed, it has none.
+        n = 8
+        present = np.ones((n, 3), dtype=bool)
+        present[n // 2 :, 0] = False
+        x = np.column_stack([
+            np.where(present[:, 0], 7.0, 0.0),
+            np.linspace(0.0, 1.0, n),
+            np.linspace(0.0, 0.5, n),
+        ])
+        s = SampleSet(x, ["f0", "f1", "f2"], present=present)
+        sel = ChiSquareSelector(k=2).fit(s)
+        assert sel.selected_names_ == ("f1", "f2")
+        expected = [x[present[:, j], j].var() for j in range(3)]
+        np.testing.assert_allclose(sel.scores_, expected, atol=1e-12)

@@ -4,7 +4,7 @@ Covers the shared-memory ring primitives (:mod:`repro.fleet.shm`), the
 :class:`ProcessWorkerHandle` lifecycle, coordinator parity between the
 ``inline`` and ``process`` transports (including SIGKILL-mid-run salvage),
 segment cleanup on shutdown, the inline fallback when fork is missing,
-and the ``fleet_transport`` runtime-config plumbing.
+and the coordinator's default transport.
 
 Fixtures mirror ``test_fleet.py``: a stateless mean-score detector over
 an engine-backed pipeline, so process-transport verdicts can be compared
@@ -756,26 +756,8 @@ class TestTransportSelection:
 
 class TestFleetTransportConfig:
     def test_default_is_inline(self):
-        assert ExecutionConfig().fleet_transport == "inline"
-
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(ValueError, match="fleet_transport"):
-            ExecutionConfig(fleet_transport="threads")
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("PRODIGY_FLEET_TRANSPORT", " Process ")
-        assert ExecutionConfig.from_env().fleet_transport == "process"
-
-    def test_resolve_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("PRODIGY_FLEET_TRANSPORT", "process")
-        config = ExecutionConfig.resolve(fleet_transport="inline")
-        assert config.fleet_transport == "inline"
-
-    def test_engine_stats_report_transport(self):
-        engine = ParallelExtractor(
-            FeatureExtractor(resample_points=16),
-            config=ExecutionConfig(
-                n_workers=1, cache_size=0, fleet_transport="process"),
-            instrumentation=Instrumentation(enabled=False),
+        fleet = FleetCoordinator(
+            EnginePipeline(), MeanDetector(), n_workers=1, stream_kwargs=STREAM_KW
         )
-        assert engine.stats()["config"]["fleet_transport"] == "process"
+        assert fleet.transport == "inline"
+        fleet.close()

@@ -314,6 +314,36 @@ class TestRetrainingPolicyGate:
         assert policy.should_retrain([object()], buf, window_index=10)
 
 
+def test_retrain_on_mixed_buffer_registers_masked_candidate(tmp_path):
+    """A healthy buffer of CPU and GPU windows retrains like any other."""
+    from repro.features import FeatureExtractor
+    from repro.telemetry import NodeSeries
+
+    rng = np.random.default_rng(0)
+
+    def windows(names, n, job_id):
+        return [NodeSeries(job_id, c, np.arange(60.0), rng.random((60, len(names))), names)
+                for c in range(n)]
+
+    series = windows(("a", "b"), 6, 1) + windows(("a", "b", "gpu0"), 6, 2)
+    pipe, _ = DataPipeline(FeatureExtractor(resample_points=16), n_features=16).fit_from_series(
+        series, np.arange(len(series)) % 2
+    )
+    active = ProdigyDetector(hidden_dims=(8,), latent_dim=2, epochs=3, batch_size=4, seed=1)
+    buf = HealthySampleBuffer(capacity=16)
+    for s in series:
+        buf.add(s)
+    registry = ModelRegistry(tmp_path / "reg")
+    version = RetrainingPolicy(registry, min_samples=2).retrain(pipe, active, buf)
+    assert registry.get(version.version).status == "candidate"
+
+    transformed = pipe.transform_samples(pipe.engine.extract(buf.series()))
+    assert transformed.present is not None
+    masked = clone_detector(active).fit(transformed.features, present=transformed.present)
+    _, candidate = registry.load(version.version)
+    assert candidate.threshold_ == masked.threshold_
+
+
 def test_clone_detector_copies_architecture():
     det = ProdigyDetector(hidden_dims=(16, 8), latent_dim=4, epochs=80, seed=2)
     clone = clone_detector(det, seed=9)

@@ -159,8 +159,8 @@ class TestPlanTransform:
         pipe = _fit_resample_free(train)
         first = pipe.transform_series(train)
         np.testing.assert_array_equal(first, pipe.transform_series_full(train)[0])
-        # Assigned directly, as the CLI, loadgen and Prodigy's healthy-only
-        # fit do: the next transform must serve the new selection.
+        # Assigned directly, as tests that pin a selection do: the next
+        # transform must serve the new selection.
         pipe.selected_names_ = pipe.selected_names_[::-1]
         np.testing.assert_array_equal(
             pipe.transform_series(train), pipe.transform_series_full(train)[0]
@@ -295,47 +295,46 @@ class TestModelTrainerAndService:
         scores = {p.component_id: p.anomaly_score for p in preds}
         assert max(scores.values()) > min(scores.values())
 
-    def test_service_predict_series(self, deployment, fitted_pipeline):
-        gen, outdir, _ = deployment
-        _, _, _, series = fitted_pipeline
-        pipe2, det2 = load_detector(outdir)
-        svc = AnomalyDetectorService(gen, pipe2, det2)
-        pred = svc.predict_series(series[0])
-        assert pred.component_id == series[0].component_id
+    def test_service_verdicts_are_the_detectors_from_one_forward(self, deployment):
+        """predict_job scores once and thresholds those scores as predict does."""
+        from repro.runtime import get_instrumentation
 
-    def test_service_predict_series_batch(self, deployment, fitted_pipeline):
-        """One micro-batched dispatch matches per-series predictions."""
         gen, outdir, _ = deployment
-        _, _, _, series = fitted_pipeline
         pipe2, det2 = load_detector(outdir)
         svc = AnomalyDetectorService(gen, pipe2, det2)
-        batch = svc.predict_series_batch(series[:3])
-        assert [p.component_id for p in batch] == [s.component_id for s in series[:3]]
-        for b, s in zip(batch, series[:3]):
-            single = svc.predict_series(s)
-            assert b.prediction == single.prediction
-            assert b.anomaly_score == pytest.approx(single.anomaly_score, abs=1e-9)
-        assert svc.predict_series_batch([]) == []
+        inst = get_instrumentation()
+        for job in (int(j) for j in gen.all_job_ids()):
+            forwards = inst.stage_stats("score").calls
+            preds = svc.predict_job(job)
+            assert inst.stage_stats("score").calls == forwards + 1
+            rows = pipe2.transform_series(gen.job_series(job))
+            np.testing.assert_array_equal(
+                [p.prediction for p in preds], det2.predict(rows)
+            )
+            np.testing.assert_array_equal(
+                [p.anomaly_score for p in preds], det2.anomaly_score(rows)
+            )
 
-    def test_service_proba_hook(self, deployment, fitted_pipeline):
-        gen, outdir, _ = deployment
-        _, _, _, series = fitted_pipeline
-        pipe2, det2 = load_detector(outdir)
-        svc = AnomalyDetectorService(gen, pipe2, det2)
-        proba = svc.predict_proba_series(series[0])
-        assert proba.shape == (2,)
-        assert proba.sum() == pytest.approx(1.0)
+    def test_train_on_mixed_set_sets_the_masked_threshold(self, tmp_path):
+        """The trainer fits under the presence mask, as Prodigy.fit does."""
+        names = ("m0", "m1", "m2")
+        series = _runs(names + ("g0",), [120] * 6, seed=11) + _runs(
+            names, [120] * 6, seed=12, job_id=2
+        )
+        pipe = _fit_resample_free(series, n_features=64)
+        samples = pipe.engine.extract(series)
+        transformed = pipe.transform_samples(samples)
+        assert transformed.present is not None and not transformed.present.all()
 
-    def test_service_proba_batch_matches_serial(self, deployment, fitted_pipeline):
-        gen, outdir, _ = deployment
-        _, _, _, series = fitted_pipeline
-        pipe2, det2 = load_detector(outdir)
-        svc = AnomalyDetectorService(gen, pipe2, det2)
-        batch = svc.predict_proba_series_batch(series[:3])
-        assert batch.shape == (3, 2)
-        for row, s in zip(batch, series[:3]):
-            np.testing.assert_allclose(row, svc.predict_proba_series(s), atol=1e-9)
-        assert svc.predict_proba_series_batch([]).shape == (0, 2)
+        def detector():
+            return ProdigyDetector(
+                hidden_dims=(8,), latent_dim=2, epochs=5, batch_size=4, seed=4
+            )
+
+        trained = ModelTrainer(pipe, detector(), tmp_path / "deploy").train(samples)
+        masked = detector().fit(transformed.features, present=transformed.present)
+        assert trained.threshold_ == masked.threshold_
+        assert load_detector(tmp_path / "deploy")[1].threshold_ == masked.threshold_
 
     def test_service_as_series_classifier(self, deployment, fitted_pipeline):
         """The CoMTE adapter scores singles and batches consistently."""
@@ -348,3 +347,87 @@ class TestModelTrainerAndService:
         assert single.shape == (2,)
         batched = classify.classify_batch(series[:2])
         np.testing.assert_allclose(batched[0], single, atol=1e-9)
+
+
+# -- unlabeled demo fits ----------------------------------------------------------
+
+
+def _variance_recipe(engine, series, n_keep):
+    """The hand-built variance fit the demos ran before selection ranked
+    unlabeled sets itself: ``(selected names, scaler state)``, the oracle."""
+    from repro.features.scaling import make_scaler
+
+    features, names = engine.extract_matrix(series)
+    var = features.var(axis=0)
+    keep = np.sort(np.lexsort((np.arange(var.size), -var))[: min(n_keep, var.size)])
+    scaler = make_scaler("minmax").fit(features[:, keep])
+    return tuple(names[i] for i in keep), scaler.state()
+
+
+def _assert_fit_is(pipeline, recipe):
+    names, scaler_state = recipe
+    assert pipeline.selected_names_ == names
+    state = pipeline.scaler_.state()
+    assert state.keys() == scaler_state.keys()
+    for key, value in scaler_state.items():
+        np.testing.assert_array_equal(state[key], value)
+
+
+class TestUnlabeledDemoFits:
+    """Each demo fit is ``fit_from_series`` without labels, and equals the
+    variance recipe it replaced, bit for bit."""
+
+    def test_runtime_stats_fit(self, monkeypatch, capsys):
+        from repro import cli
+        from repro.runtime import ParallelExtractor
+
+        fitted = []
+        fit = DataPipeline.fit_from_series
+
+        def spy(self, series, labels=None, **kwargs):
+            fitted.append((self, list(series), labels))
+            return fit(self, series, labels, **kwargs)
+
+        monkeypatch.setattr(DataPipeline, "fit_from_series", spy)
+        assert cli.main(["runtime", "stats", "--samples", "10", "--metrics", "3",
+                         "--json"]) == 0
+        capsys.readouterr()
+        (pipeline, series, labels), = fitted
+        assert labels is None
+        engine = ParallelExtractor(FeatureExtractor(resample_points=64))
+        _assert_fit_is(pipeline, _variance_recipe(engine, series, 64))
+
+    def test_fleet_run_fit(self):
+        from repro import cli
+        from repro.runtime import ParallelExtractor
+
+        pipeline, _, series = cli._fleet_deployment(6, 4, 96, seed=1)
+        engine = ParallelExtractor(FeatureExtractor(resample_points=32))
+        _assert_fit_is(pipeline, _variance_recipe(engine, series, 48))
+
+    def test_loadgen_fit(self):
+        from repro.runtime import ParallelExtractor
+        from repro.serving.loadgen import demo_deployment
+
+        series = _runs(("m0", "m1", "m2"), [96] * 5, seed=13)
+        pipeline, _ = demo_deployment(series, seed=2)
+        engine = ParallelExtractor(FeatureExtractor(resample_points=32))
+        _assert_fit_is(pipeline, _variance_recipe(engine, series, 48))
+
+    def test_check_perf_fit(self, monkeypatch):
+        from pathlib import Path
+
+        from repro.runtime import ExecutionConfig, Instrumentation, ParallelExtractor
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        import check_perf
+
+        series = _runs(("m0", "m1", "m2", "m3"), [150] * 6, seed=14)
+        pipeline, _, _ = check_perf._fit_deployment(series, seed=1)
+        engine = ParallelExtractor(
+            FeatureExtractor(resample_points=64),
+            config=ExecutionConfig(n_workers=1, cache_size=0),
+            instrumentation=Instrumentation(enabled=False),
+        )
+        assert pipeline.engine.config == engine.config
+        _assert_fit_is(pipeline, _variance_recipe(engine, series, 48))

@@ -129,7 +129,7 @@ def _fit_deployment(
         config=ExecutionConfig(cache_size=0),
         instrumentation=Instrumentation(),
     )
-    table = engine.extractor.extract_table(series)
+    table = engine.extract_table(series)
     feats, fnames, present = table.features, table.feature_names, table.present
     var = feats.var(axis=0)
     by_var = np.lexsort((np.arange(var.size), -var))

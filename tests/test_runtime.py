@@ -154,6 +154,49 @@ class TestParallelExtractor:
             assert names == ref_names
             assert np.array_equal(mat, reference)
 
+    def test_mixed_fleet_extract_matches_per_schema_alignment(self, extractor):
+        """extract partitions a mixed fleet by schema digest; the oracle is
+        the per-partition serial extraction aligned onto the union axis."""
+        from repro.features import align_feature_groups
+
+        cpu = make_series(4, 3, seed=1)
+        gpu = [
+            NodeSeries(2, 10 + i, s.timestamps,
+                       np.column_stack([s.values, 2.0 * s.values[:, 0]]),
+                       s.metric_names + ("g0",))
+            for i, s in enumerate(make_series(3, 3, seed=2))
+        ]
+        series = [cpu[0], gpu[0], cpu[1], cpu[2], gpu[1], gpu[2], cpu[3]]
+        partitions: dict[str, list[int]] = {}
+        for i, s in enumerate(series):
+            partitions.setdefault(s.schema_digest, []).append(i)
+        oracle = align_feature_groups(
+            [(rows, *extractor.extract_matrix([series[i] for i in rows]))
+             for rows in partitions.values()],
+            len(series),
+        )
+        assert not oracle.is_dense
+        labels = np.arange(len(series)) % 2
+        for workers, cache_size in ((1, 0), (2, 0), (2, 32)):
+            engine = ParallelExtractor(
+                extractor,
+                config=ExecutionConfig(n_workers=workers, cache_size=cache_size),
+                instrumentation=Instrumentation(),
+            )
+            for _ in range(2 if cache_size else 1):  # cold, then warm
+                samples = engine.extract(series, labels)
+                assert samples.feature_names == oracle.feature_names
+                assert np.array_equal(samples.features, oracle.features)
+                assert np.array_equal(samples.present, oracle.present)
+                assert np.array_equal(samples.labels, labels)
+            table = engine.extract_table(series)
+            assert np.array_equal(table.features, oracle.features)
+        assert engine.cache.stats()["hits"] == 2 * len(series)
+        # One schema keeps the dense path: no mask.
+        dense = engine.extract(cpu)
+        assert dense.present is None
+        assert np.array_equal(dense.features, extractor.extract_matrix(cpu)[0])
+
     def test_cache_hits_on_replay(self, extractor):
         series = make_series()
         engine = ParallelExtractor(

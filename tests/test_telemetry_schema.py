@@ -2,14 +2,15 @@
 
 Covers the canonical flatten rule, schema digests and the registry, schema
 propagation on :class:`NodeSeries`, per-card counter preprocessing, and the
-parity guarantee that schema-digest grouping in ``extract_table`` is
-bit-identical to the dense path on homogeneous fleets.
+parity guarantee that schema-digest grouping in the engine's
+``extract_table`` is bit-identical to the dense path on homogeneous fleets.
 """
 
 import numpy as np
 import pytest
 
 from repro.features import FeatureExtractor
+from repro.runtime import ParallelExtractor
 from repro.telemetry import NodeSeries
 from repro.telemetry.preprocessing import difference_counters, standard_preprocess
 from repro.telemetry.schema import (
@@ -265,7 +266,7 @@ class TestSchemaDigestGrouping:
     def test_homogeneous_table_bit_identical_to_matrix(self):
         fx = FeatureExtractor(resample_points=32)
         series = [plain_series(("a", "b"), comp=i, seed=i) for i in range(4)]
-        table = fx.extract_table(series)
+        table = ParallelExtractor(fx).extract_table(series)
         mat, names = fx.extract_matrix(series)
         assert table.is_dense
         assert table.feature_names == names
@@ -277,7 +278,7 @@ class TestSchemaDigestGrouping:
         wide = [plain_series(("a", "b", "c"), comp=10 + i, seed=10 + i)
                 for i in range(2)]
         series = [narrow[0], wide[0], narrow[1], wide[1]]
-        table = fx.extract_table(series)
+        table = ParallelExtractor(fx).extract_table(series)
         assert not table.is_dense
 
         mat_n, names_n = fx.extract_matrix(narrow)
@@ -314,5 +315,5 @@ class TestSchemaDigestGrouping:
         bare = NodeSeries(1, 2, np.arange(30, dtype=float),
                           np.random.default_rng(1).random((30, len(names))),
                           names)
-        table = fx.extract_table([tagged, bare])
+        table = ParallelExtractor(fx).extract_table([tagged, bare])
         assert table.is_dense
