@@ -76,8 +76,8 @@ Scenario check: the heterogeneous-fleet path end to end — simulate the
 load, mixed-schema pipeline fit, and masked scoring — with two parity
 assertions: homogeneous synthesis is bit-identical to the frozen
 pre-schema-refactor synthesizer (``tests/oracles/workloads.py``), and the
-engine's schema-partitioned ``extract_table`` is bit-identical to the
-dense ``extract_matrix`` on a homogeneous fleet.
+engine's schema-partitioned ``extract`` is bit-identical to the dense
+``extract_matrix`` on a homogeneous fleet.
 
 The frozen oracles live under ``tests/oracles/``, outside the installed
 package; importing this module puts ``tests/`` on ``sys.path`` so they
@@ -334,7 +334,7 @@ def run_feature_check() -> dict:
         instrumentation=Instrumentation(enabled=False),
     )
     singles_s, batch_s = _interleaved_best(
-        [lambda: [batch_engine.extract_single(s) for s in runs],
+        [lambda: [batch_engine.extract_matrix([s]) for s in runs],
          lambda: batch_engine.extract_matrix(runs)]
     )
     result["microbatch"] = {
@@ -1093,12 +1093,12 @@ def run_scenario_check() -> dict:
         config=ExecutionConfig(cache_size=0),
         instrumentation=Instrumentation(enabled=False),
     )
-    table = engine.extract_table(homogeneous)
+    grouped = engine.extract(homogeneous)
     dense, dense_names = fx.extract_matrix(homogeneous)
     result["parity"]["grouping_bit_identical"] = bool(
-        table.is_dense
-        and table.feature_names == dense_names
-        and np.array_equal(table.features, dense)
+        grouped.is_dense
+        and grouped.feature_names == dense_names
+        and np.array_equal(grouped.features, dense)
     )
     assert result["parity"]["synthesis_bit_identical"], (
         "refactored synthesizer diverged from the pre-refactor oracle"

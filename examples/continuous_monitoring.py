@@ -56,13 +56,11 @@ def train_deployment(catalog):
                 )
                 labels.append(result.node_label(comp))
     pipeline = DataPipeline(FeatureExtractor(), n_features=512)
-    samples = pipeline.extractor.extract(series, labels)
-    pipeline.fit(samples)
+    pipeline, transformed = pipeline.fit_from_series(series, labels)
     detector = ProdigyDetector(
         hidden_dims=(128, 64), latent_dim=16, epochs=200, batch_size=32,
         learning_rate=1e-3, seed=SEED,
     )
-    transformed = pipeline.transform_samples(samples)
     detector.fit(transformed.features, transformed.labels)
     healthy = [s for s, label in zip(series, labels) if label == 0]
     return pipeline, detector, healthy

@@ -87,7 +87,7 @@ def train_offline(store, labels, catalog, artifact_dir: Path):
     print(f"  preprocessed {len(series)} node runs ({sum(y)} anomalous)")
 
     pipeline = DataPipeline(FeatureExtractor(), n_features=512)
-    samples = pipeline.extractor.extract(series, y)
+    samples = pipeline.engine.extract(series, y)
     pipeline.fit(samples)
     detector = ProdigyDetector(
         hidden_dims=(128, 64), latent_dim=16,

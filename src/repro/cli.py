@@ -700,8 +700,8 @@ def cmd_runtime(args: argparse.Namespace) -> int:
     cfg = stats["config"]
     sections = [(
         "runtime config",
-        ["n_workers", "cache_size", "instrument"],
-        [[cfg["n_workers"], cfg["cache_size"], cfg["instrument"]]],
+        ["n_workers", "cache_size"],
+        [[cfg["n_workers"], cfg["cache_size"]]],
     )]
     plan = stats.get("scheduler")
     if plan is not None:

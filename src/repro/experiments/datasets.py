@@ -135,19 +135,13 @@ def run_campaign(spec: CampaignSpec, *, seed: int | np.random.Generator | None =
 def extract_dataset(
     runs: Sequence[LabeledRun],
     extractor: FeatureExtractor | None = None,
-    *,
-    engine: ParallelExtractor | None = None,
 ) -> SampleSet:
     """Feature-extract a campaign into a labeled SampleSet.
 
-    Extraction routes through the runtime layer: pass an *engine* to share
-    its feature cache across campaigns (re-runs over shared
-    datasets hit the cache), otherwise one is built from the process-wide
-    :class:`~repro.runtime.config.ExecutionConfig`.
+    Extraction routes through the runtime layer, an engine built from the
+    process-wide :class:`~repro.runtime.config.ExecutionConfig`.
     """
-    if engine is None:
-        engine = ParallelExtractor(extractor)
-    return engine.extract(
+    return ParallelExtractor(extractor).extract(
         [r.series for r in runs],
         [r.label for r in runs],
         app_names=[r.app for r in runs],

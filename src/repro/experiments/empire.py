@@ -26,7 +26,7 @@ from repro.core.prodigy import ProdigyDetector
 from repro.experiments.protocol import ProtocolConfig
 from repro.features.extraction import FeatureExtractor
 from repro.runtime.parallel import ParallelExtractor
-from repro.features.scaling import make_scaler
+from repro.features.scaling import MinMaxScaler
 from repro.telemetry.preprocessing import standard_preprocess
 from repro.util.rng import derive_seed, ensure_rng
 from repro.workloads.catalog import EMPIRE
@@ -108,7 +108,7 @@ def run_empire_experiment(
     x_test_full, _ = engine.extract_matrix(test_series)
 
     # No labels at deployment -> no Chi-square stage; keep all features.
-    scaler = make_scaler(config.scaler_kind).fit(x_train_full)
+    scaler = MinMaxScaler().fit(x_train_full)
     x_train = scaler.transform(x_train_full)
     x_test = scaler.transform(x_test_full)
 

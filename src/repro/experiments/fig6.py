@@ -23,7 +23,7 @@ from repro.core.prodigy import ProdigyDetector
 from repro.eval.metrics import f1_score_macro
 from repro.experiments.datasets import CampaignSpec, extract_dataset, run_campaign
 from repro.experiments.protocol import ProtocolConfig
-from repro.features.scaling import make_scaler
+from repro.features.scaling import MinMaxScaler
 from repro.features.selection import ChiSquareSelector
 from repro.serving.dashboard import render_table
 from repro.telemetry.sampleset import SampleSet
@@ -97,7 +97,7 @@ def run_fig6(
             rest = np.setdiff1d(healthy_idx, chosen)
             test_idx = np.sort(np.concatenate([rest, test_anom_idx]))
 
-            scaler = make_scaler(config.scaler_kind).fit(selected.features[chosen])
+            scaler = MinMaxScaler().fit(selected.features[chosen])
             x_train = scaler.transform(selected.features[chosen])
             x_test = scaler.transform(selected.features[test_idx])
             y_test = selected.labels[test_idx]

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.prodigy import ProdigyDetector
 from repro.eval.metrics import ClassificationReport, classification_report
 from repro.eval.splits import cap_anomaly_ratio
-from repro.features.scaling import make_scaler
+from repro.features.scaling import MinMaxScaler
 from repro.features.selection import ChiSquareSelector
 from repro.models.heuristics import MajorityLabelPrediction, RandomPrediction
 from repro.models.iforest import IsolationForest
@@ -55,7 +55,6 @@ class ProtocolConfig:
     contamination: float = 0.10
     #: 'sweep' = paper's F1 sweep on test scores; 'percentile' = Sec. 3.3 default
     threshold_strategy: str = "sweep"
-    scaler_kind: str = "minmax"
     #: smaller budgets / larger steps than Table 3's starred values because
     #: the datasets are ~1/10 scale (fewer gradient steps per epoch)
     prodigy_epochs: int = 300
@@ -147,7 +146,7 @@ def prepare_features(
     # anomalous extremes would compress the healthy manifold and erase the
     # reconstruction-error contrast every detector here relies on.
     scaler_source = train_sel.healthy() if train_sel.n_healthy else train_sel
-    scaler = make_scaler(config.scaler_kind).fit(scaler_source.features)
+    scaler = MinMaxScaler().fit(scaler_source.features)
     return (
         train_sel.with_features(scaler.transform(train_sel.features), train_sel.feature_names),
         test_sel.with_features(scaler.transform(test_sel.features), test_sel.feature_names),

@@ -1,6 +1,6 @@
 """Feature pipeline: TSFRESH-style extraction, Chi-square selection, scaling."""
 
-from repro.features.alignment import FeatureTable, align_feature_groups
+from repro.features.alignment import align_feature_groups
 from repro.features.calculators import (
     KERNEL_VERSION,
     Calculator,
@@ -13,38 +13,24 @@ from repro.features.context import EntropyProfile, MetricBlockContext, as_contex
 from repro.features.extraction import FeatureExtractor
 from repro.features.ringbuffer import NodeRingBuffer
 from repro.features.rolling import RollingPlan
-from repro.features.scaling import (
-    MinMaxScaler,
-    RobustScaler,
-    Scaler,
-    StandardScaler,
-    make_scaler,
-    scaler_from_state,
-)
-from repro.features.selection import ChiSquareSelector, VarianceThreshold, chi2_scores
+from repro.features.scaling import MinMaxScaler
+from repro.features.selection import ChiSquareSelector, chi2_scores
 
 __all__ = [
     "Calculator",
     "ChiSquareSelector",
     "EntropyProfile",
     "FeatureExtractor",
-    "FeatureTable",
     "align_feature_groups",
     "KERNEL_VERSION",
     "MetricBlockContext",
     "MinMaxScaler",
     "NodeRingBuffer",
     "RollingPlan",
-    "RobustScaler",
-    "Scaler",
-    "StandardScaler",
-    "VarianceThreshold",
     "as_context",
     "calculator_names",
     "calculator_set_digest",
     "chi2_scores",
     "default_calculators",
     "full_calculators",
-    "make_scaler",
-    "scaler_from_state",
 ]

@@ -4,71 +4,31 @@ Heterogeneous fleets extract features per schema partition: all nodes
 sharing a column layout are batched together (the dense fast path), and the
 per-group matrices are then aligned onto the *union* feature axis.  A GPU
 node contributes per-card feature columns a CPU node simply does not have —
-that absence is not a zero measurement, so the aligned table carries an
-explicit boolean ``present`` mask alongside the 0-filled feature matrix.
+that absence is not a zero measurement, so the 0-filled aligned matrix
+comes with an explicit boolean ``present`` mask (a
+:class:`~repro.telemetry.sampleset.SampleSet` carries both).
 Downstream consumers (Chi-square selection, min-max scaling, masked VAE
 scoring) treat absent cells as "no evidence", never as an observed value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["FeatureTable", "align_feature_groups"]
-
-
-@dataclass(frozen=True)
-class FeatureTable:
-    """An ``(N, F)`` feature matrix with explicit per-cell presence.
-
-    ``features`` is 0-filled where ``present`` is False; the mask is the
-    source of truth for which cells were actually extracted.
-    """
-
-    features: np.ndarray
-    feature_names: tuple[str, ...]
-    present: np.ndarray
-
-    def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        pres = np.asarray(self.present, dtype=bool)
-        if feats.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {feats.shape}")
-        if pres.shape != feats.shape:
-            raise ValueError(
-                f"present mask shape {pres.shape} != features shape {feats.shape}"
-            )
-        if feats.shape[1] != len(self.feature_names):
-            raise ValueError(
-                f"features has {feats.shape[1]} columns but "
-                f"{len(self.feature_names)} feature names"
-            )
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "present", pres)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.features.shape[0])
-
-    @property
-    def n_features(self) -> int:
-        return int(self.features.shape[1])
-
-    @property
-    def is_dense(self) -> bool:
-        """True when every cell is present (homogeneous input)."""
-        return bool(self.present.all())
+__all__ = ["align_feature_groups"]
 
 
 def align_feature_groups(
     groups: Sequence[tuple[Sequence[int], np.ndarray, Sequence[str]]],
     n_rows: int,
-) -> FeatureTable:
+) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     """Scatter per-schema feature groups onto the union feature axis.
+
+    Returns ``(features, feature_names, present)``: the 0-filled
+    ``(n_rows, F)`` matrix, its union column names, and the boolean mask of
+    the cells some group extracted.
 
     Parameters
     ----------
@@ -81,8 +41,8 @@ def align_feature_groups(
         Total number of output rows.
 
     The union feature axis lists columns in first-appearance order across
-    groups, so a homogeneous input (one group covering all rows) yields a
-    table with the group's exact column order and an all-True mask.
+    groups, so a homogeneous input (one group covering all rows) keeps the
+    group's exact column order and gets an all-True mask.
     """
     if not groups:
         raise ValueError("need at least one feature group")
@@ -117,4 +77,4 @@ def align_feature_groups(
         raise ValueError(
             f"feature groups cover {int(seen.sum())} of {n_rows} rows"
         )
-    return FeatureTable(features, tuple(union), present)
+    return features, tuple(union), present

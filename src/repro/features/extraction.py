@@ -11,6 +11,10 @@ Runs of unequal length are linearly resampled onto a common grid first
 (controlled by ``resample_points``); the paper's runs are 20-45 min and
 edge-trimmed, so a fixed grid preserves the phase structure the features
 measure.
+
+This module is the serial kernel.  Samples come from the runtime engine,
+:meth:`~repro.runtime.parallel.ParallelExtractor.extract`, which runs these
+kernels on threads behind a feature cache and takes mixed-schema fleets.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import numpy as np
 from repro.features.calculators import Calculator, calculator_names, default_calculators
 from repro.features.context import MetricBlockContext
 from repro.telemetry.frame import NodeSeries
-from repro.telemetry.sampleset import SampleSet
 
 __all__ = [
     "FeatureExtractor",
@@ -175,31 +178,47 @@ class FeatureExtractor:
 
     # -- extraction --------------------------------------------------------------
 
-    def stack(self, series: Sequence[NodeSeries]) -> tuple[np.ndarray, tuple[str, ...]]:
-        """Resample and stack runs into a ``(N, T, M)`` block."""
+    def metric_layout(self, series: Sequence[NodeSeries]) -> tuple[str, ...]:
+        """The metric names a batch of *series* extracts, after the layout check.
+
+        A pinned subset (``metrics=...``) is the layout.  Otherwise every
+        series must carry the first one's metric names in the same order;
+        the error names the first node that diverges and its column delta.
+        Stacking and the runtime engine (before its cache lookup) both
+        check here, so cached rows never mix layouts.
+        """
         if not series:
             raise ValueError("need at least one NodeSeries")
-        metric_names = self.metrics if self.metrics is not None else series[0].metric_names
+        if self.metrics is not None:
+            return self.metrics
+        metric_names = series[0].metric_names
+        for s in series:
+            if s.metric_names == metric_names:
+                continue
+            ref, cur = set(metric_names), set(s.metric_names)
+            missing = sorted(ref - cur)
+            extra = sorted(cur - ref)
+            parts = []
+            if missing:
+                parts.append(f"missing {missing[:4]}")
+            if extra:
+                parts.append(f"extra {extra[:4]}")
+            detail = "; ".join(parts) if parts else "same metrics in a different order"
+            raise ValueError(
+                f"series (job_id={s.job_id}, component_id={s.component_id}) "
+                f"diverges from the metric names of (job_id={series[0].job_id}, "
+                f"component_id={series[0].component_id}): {detail}; pass "
+                f"metrics=... or use ParallelExtractor.extract() for mixed-schema fleets"
+            )
+        return tuple(metric_names)
+
+    def stack(self, series: Sequence[NodeSeries]) -> tuple[np.ndarray, tuple[str, ...]]:
+        """Resample and stack runs into a ``(N, T, M)`` block."""
+        metric_names = self.metric_layout(series)
         prepared = []
         for s in series:
             if self.metrics is not None:
                 s = s.select_metrics(metric_names)
-            elif s.metric_names != metric_names:
-                ref, cur = set(metric_names), set(s.metric_names)
-                missing = sorted(ref - cur)
-                extra = sorted(cur - ref)
-                parts = []
-                if missing:
-                    parts.append(f"missing {missing[:4]}")
-                if extra:
-                    parts.append(f"extra {extra[:4]}")
-                detail = "; ".join(parts) if parts else "same metrics in a different order"
-                raise ValueError(
-                    f"series (job_id={s.job_id}, component_id={s.component_id}) "
-                    f"diverges from the metric names of (job_id={series[0].job_id}, "
-                    f"component_id={series[0].component_id}): {detail}; pass "
-                    f"metrics=... or use ParallelExtractor.extract_table() for mixed-schema fleets"
-                )
             if self.resample_points is not None:
                 s = s.resample(self.resample_points)
             prepared.append(s.values)
@@ -208,59 +227,15 @@ class FeatureExtractor:
             raise ValueError(
                 f"series have unequal lengths {sorted(lengths)}; set resample_points"
             )
-        return np.stack(prepared, axis=0), tuple(metric_names)
+        return np.stack(prepared, axis=0), metric_names
 
     def extract_matrix(self, series: Sequence[NodeSeries]) -> tuple[np.ndarray, tuple[str, ...]]:
-        """Extract the raw ``(N, F_total)`` feature matrix and its names."""
+        """Extract the raw ``(N, F_total)`` feature matrix and its names.
+
+        Serial and cache-free: the kernel entry that the plan's oracle
+        (:meth:`~repro.pipeline.datapipeline.DataPipeline.transform_series_full`)
+        and the parity checks run.  Samples come from
+        :meth:`~repro.runtime.parallel.ParallelExtractor.extract`.
+        """
         block, metric_names = self.stack(series)
         return compute_block(self.calculators, block), self.feature_names(metric_names)
-
-    def extract(
-        self,
-        series: Sequence[NodeSeries],
-        labels: np.ndarray | Sequence[int] | None = None,
-        *,
-        app_names: Sequence[str] | None = None,
-        anomaly_names: Sequence[str] | None = None,
-    ) -> SampleSet:
-        """Extract a :class:`SampleSet`, carrying run provenance along."""
-        series = list(series)
-        validate_aligned(
-            len(series), labels=labels, app_names=app_names, anomaly_names=anomaly_names
-        )
-        features, names = self.extract_matrix(series)
-        return self.package(
-            series, features, names, labels,
-            app_names=app_names, anomaly_names=anomaly_names,
-        )
-
-    def package(
-        self,
-        series: Sequence[NodeSeries],
-        features: np.ndarray,
-        names: tuple[str, ...],
-        labels: np.ndarray | Sequence[int] | None = None,
-        *,
-        app_names: Sequence[str] | None = None,
-        anomaly_names: Sequence[str] | None = None,
-        present: np.ndarray | None = None,
-    ) -> SampleSet:
-        """Wrap an already-extracted matrix into a provenance-carrying SampleSet.
-
-        *present* is the mixed-schema presence mask, if any.
-        """
-        return SampleSet(
-            features,
-            names,
-            None if labels is None else np.asarray(labels),
-            job_ids=np.array([s.job_id for s in series], dtype=np.int64),
-            component_ids=np.array([s.component_id for s in series], dtype=np.int64),
-            app_names=app_names,
-            anomaly_names=anomaly_names,
-            present=present,
-        )
-
-    def extract_single(self, series: NodeSeries) -> np.ndarray:
-        """Feature row ``(1, F)`` for one run — the online-inference path."""
-        features, _ = self.extract_matrix([series])
-        return features

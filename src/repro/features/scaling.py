@@ -1,61 +1,27 @@
-"""Feature scalers (the paper's Scaler module, Fig. 3).
+"""Min-max feature scaling (the paper's Scaler module, Fig. 3).
 
-Scalers are fitted on the training split only and persisted with the model
-so online inference applies the identical transform.  MinMax is the paper's
-default (it also makes features non-negative for the Chi-square stage and
-bounds the VAE reconstruction target).
+The scaler is fitted on the training split only and persisted with the
+model so online inference applies the identical transform.  Min-max is the
+paper's scaler: it makes features non-negative for the Chi-square stage and
+bounds the VAE reconstruction target.
 """
 
 from __future__ import annotations
-
-from abc import ABC, abstractmethod
 
 import numpy as np
 
 from repro.util.validation import check_fitted, check_matrix
 
-__all__ = ["Scaler", "MinMaxScaler", "StandardScaler", "RobustScaler", "make_scaler"]
+__all__ = ["MinMaxScaler"]
 
 
-class Scaler(ABC):
-    """Fit/transform interface with ``.npz``-friendly state."""
-
-    #: registry key, set by subclasses
-    kind: str = "abstract"
-
-    @abstractmethod
-    def fit(self, x: np.ndarray) -> "Scaler": ...
-
-    @abstractmethod
-    def transform(self, x: np.ndarray) -> np.ndarray: ...
-
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
-
-    @abstractmethod
-    def state(self) -> dict[str, np.ndarray]:
-        """Arrays needed to reconstruct the fitted scaler."""
-
-    @classmethod
-    @abstractmethod
-    def from_state(cls, state: dict[str, np.ndarray]) -> "Scaler": ...
-
-    def _check_width(self, x: np.ndarray, width: int) -> np.ndarray:
-        x = check_matrix(x, name="X")
-        if x.shape[1] != width:
-            raise ValueError(f"X has {x.shape[1]} features, scaler fitted on {width}")
-        return x
-
-
-class MinMaxScaler(Scaler):
+class MinMaxScaler:
     """Scale each feature to [0, 1] by its training min/max.
 
     Test values outside the training range are clipped (an unseen extreme
     value would otherwise leave the VAE's sigmoid output range and dominate
     the reconstruction error for the wrong reason).
     """
-
-    kind = "minmax"
 
     def __init__(self, *, clip: bool = True):
         self.clip = clip
@@ -88,13 +54,21 @@ class MinMaxScaler(Scaler):
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         check_fitted(self, ["min_", "scale_"])
-        x = self._check_width(x, self.min_.shape[0])
+        x = check_matrix(x, name="X")
+        if x.shape[1] != self.min_.shape[0]:
+            raise ValueError(
+                f"X has {x.shape[1]} features, scaler fitted on {self.min_.shape[0]}"
+            )
         out = (x - self.min_) * self.scale_
         if self.clip:
             np.clip(out, 0.0, 1.0, out=out)
         return out
 
+    def fit_transform(self, x: np.ndarray) -> np.ndarray:
+        return self.fit(x).transform(x)
+
     def state(self) -> dict[str, np.ndarray]:
+        """Arrays needed to reconstruct the fitted scaler."""
         check_fitted(self, ["min_", "scale_"])
         return {"min": self.min_, "scale": self.scale_, "clip": np.array([self.clip])}
 
@@ -104,95 +78,3 @@ class MinMaxScaler(Scaler):
         obj.min_ = np.asarray(state["min"], dtype=np.float64)
         obj.scale_ = np.asarray(state["scale"], dtype=np.float64)
         return obj
-
-
-class StandardScaler(Scaler):
-    """Zero-mean, unit-variance scaling per feature."""
-
-    kind = "standard"
-
-    def __init__(self) -> None:
-        self.mean_: np.ndarray | None = None
-        self.std_: np.ndarray | None = None
-
-    def fit(self, x: np.ndarray) -> "StandardScaler":
-        x = check_matrix(x, name="X")
-        self.mean_ = x.mean(axis=0)
-        std = x.std(axis=0)
-        std[std == 0] = 1.0
-        self.std_ = std
-        return self
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        check_fitted(self, ["mean_", "std_"])
-        x = self._check_width(x, self.mean_.shape[0])
-        return (x - self.mean_) / self.std_
-
-    def state(self) -> dict[str, np.ndarray]:
-        check_fitted(self, ["mean_", "std_"])
-        return {"mean": self.mean_, "std": self.std_}
-
-    @classmethod
-    def from_state(cls, state: dict[str, np.ndarray]) -> "StandardScaler":
-        obj = cls()
-        obj.mean_ = np.asarray(state["mean"], dtype=np.float64)
-        obj.std_ = np.asarray(state["std"], dtype=np.float64)
-        return obj
-
-
-class RobustScaler(Scaler):
-    """Median/IQR scaling — resistant to the heavy tails of HPC telemetry."""
-
-    kind = "robust"
-
-    def __init__(self) -> None:
-        self.center_: np.ndarray | None = None
-        self.scale_: np.ndarray | None = None
-
-    def fit(self, x: np.ndarray) -> "RobustScaler":
-        x = check_matrix(x, name="X")
-        self.center_ = np.median(x, axis=0)
-        iqr = np.quantile(x, 0.75, axis=0) - np.quantile(x, 0.25, axis=0)
-        iqr[iqr == 0] = 1.0
-        self.scale_ = 1.0 / iqr
-        return self
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        check_fitted(self, ["center_", "scale_"])
-        x = self._check_width(x, self.center_.shape[0])
-        return (x - self.center_) * self.scale_
-
-    def state(self) -> dict[str, np.ndarray]:
-        check_fitted(self, ["center_", "scale_"])
-        return {"center": self.center_, "scale": self.scale_}
-
-    @classmethod
-    def from_state(cls, state: dict[str, np.ndarray]) -> "RobustScaler":
-        obj = cls()
-        obj.center_ = np.asarray(state["center"], dtype=np.float64)
-        obj.scale_ = np.asarray(state["scale"], dtype=np.float64)
-        return obj
-
-
-_SCALERS: dict[str, type[Scaler]] = {
-    MinMaxScaler.kind: MinMaxScaler,
-    StandardScaler.kind: StandardScaler,
-    RobustScaler.kind: RobustScaler,
-}
-
-
-def make_scaler(kind: str) -> Scaler:
-    """Construct a scaler by registry name (``minmax``/``standard``/``robust``)."""
-    try:
-        return _SCALERS[kind]()
-    except KeyError:
-        raise KeyError(f"unknown scaler {kind!r}; known: {sorted(_SCALERS)}") from None
-
-
-def scaler_from_state(kind: str, state: dict[str, np.ndarray]) -> Scaler:
-    """Reconstruct a persisted scaler (used by the deployment pipeline)."""
-    try:
-        cls = _SCALERS[kind]
-    except KeyError:
-        raise KeyError(f"unknown scaler {kind!r}; known: {sorted(_SCALERS)}") from None
-    return cls.from_state(state)

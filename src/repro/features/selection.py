@@ -8,9 +8,10 @@ scikit-learn ``chi2`` contract the paper relies on: per-class feature sums
 as observed counts against class-frequency-scaled totals as expected
 counts.
 
-Features are min-max normalised to [0, 1] internally before the test (the
-Chi-square statistic requires non-negative "frequencies"; the paper applies
-its scaler before selection for the same reason).
+Near-constant columns are dropped before the test, and the rest are
+min-max normalised to [0, 1] internally (the Chi-square statistic requires
+non-negative "frequencies"; the paper applies its scaler before selection
+for the same reason).
 
 A set without a single anomalous row — the production case, healthy runs
 only — has no class to test against; the selector then keeps the
@@ -26,7 +27,11 @@ import numpy as np
 from repro.telemetry.sampleset import SampleSet
 from repro.util.validation import check_fitted, check_labels, check_matrix
 
-__all__ = ["chi2_scores", "ChiSquareSelector", "VarianceThreshold"]
+__all__ = ["chi2_scores", "ChiSquareSelector"]
+
+#: Columns whose variance over the labeled rows is at most this are
+#: near-constant: they score 0 and are never among the Chi-square picks.
+_VARIANCE_FLOOR = 1e-12
 
 
 def chi2_scores(
@@ -96,35 +101,6 @@ def _masked_variance(
     return var, cnt
 
 
-class VarianceThreshold:
-    """Drops (near-)constant feature columns before the Chi-square test."""
-
-    def __init__(self, threshold: float = 1e-12):
-        if threshold < 0:
-            raise ValueError("threshold must be non-negative")
-        self.threshold = threshold
-        self.mask_: np.ndarray | None = None
-
-    def fit(self, features: np.ndarray) -> "VarianceThreshold":
-        x = check_matrix(features, name="features")
-        self.mask_ = x.var(axis=0) > self.threshold
-        if not self.mask_.any():
-            raise ValueError("all features are constant under the threshold")
-        return self
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        check_fitted(self, ["mask_"])
-        x = check_matrix(features, name="features")
-        if x.shape[1] != self.mask_.shape[0]:
-            raise ValueError(
-                f"features has {x.shape[1]} columns, fitted on {self.mask_.shape[0]}"
-            )
-        return x[:, self.mask_]
-
-    def fit_transform(self, features: np.ndarray) -> np.ndarray:
-        return self.fit(features).transform(features)
-
-
 class ChiSquareSelector:
     """Top-k feature selection over a :class:`SampleSet`.
 
@@ -140,16 +116,12 @@ class ChiSquareSelector:
     k:
         Number of features to keep (paper sweeps 250/500/1000/2000 and
         settles on 2000; scaled datasets use proportionally fewer).
-    variance_threshold:
-        Pre-filter threshold for near-constant columns before the
-        Chi-square test.
     """
 
-    def __init__(self, k: int = 256, *, variance_threshold: float = 1e-12):
+    def __init__(self, k: int = 256):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self.variance_threshold = variance_threshold
         self.selected_names_: tuple[str, ...] | None = None
         self.scores_: np.ndarray | None = None
 
@@ -224,7 +196,7 @@ class ChiSquareSelector:
         x = labeled.features
         y = labeled.labels
         if labeled.present is None:
-            var_mask = x.var(axis=0) > self.variance_threshold
+            var_mask = x.var(axis=0) > _VARIANCE_FLOOR
             if not var_mask.any():
                 raise ValueError("all features are constant; nothing to select")
             x_var = x[:, var_mask]
@@ -236,7 +208,7 @@ class ChiSquareSelector:
         else:
             p = labeled.present
             var, cnt = _masked_variance(x, p)
-            var_mask = (var > self.variance_threshold) & (cnt >= 2)
+            var_mask = (var > _VARIANCE_FLOOR) & (cnt >= 2)
             if not var_mask.any():
                 raise ValueError("all features are constant; nothing to select")
             x_var, p_var = x[:, var_mask], p[:, var_mask]

@@ -8,12 +8,7 @@ are bit-identical to the legacy in-process store kept as the parity oracle
 (``tests/oracles/dsos.py``).  See DESIGN.md "Historical store".
 """
 
-from repro.hist.feeds import (
-    WindowedStoreView,
-    dashboard_rollup,
-    harvest_healthy_windows,
-    metric_reference,
-)
+from repro.hist.feeds import dashboard_rollup
 from repro.hist.meters import CUMULATIVE, DELTA, GAUGE, resolve_meters
 from repro.hist.retention import RetentionPolicy, TIER_RAW, TIERS
 from repro.hist.segment import Segment, write_segment
@@ -30,10 +25,7 @@ __all__ = [
     "Segment",
     "TIERS",
     "TIER_RAW",
-    "WindowedStoreView",
     "dashboard_rollup",
-    "harvest_healthy_windows",
-    "metric_reference",
     "resolve_meters",
     "write_segment",
 ]

@@ -469,8 +469,8 @@ class HistStore:
 
     Implements the :class:`~repro.monitoring.aggregator.TelemetrySink`
     protocol and the query surface that aggregators, the
-    :class:`~repro.pipeline.datagenerator.DataGenerator`, drift harvesting,
-    and dashboards read.
+    :class:`~repro.pipeline.datagenerator.DataGenerator` and the
+    dashboards read.
 
     Parameters
     ----------

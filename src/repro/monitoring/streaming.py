@@ -379,11 +379,9 @@ class StreamingDetector:
             state.streak = 0
 
     def _instrumentation(self):
-        """The pipeline engine's registry when instrumentation is on, else None."""
+        """The pipeline engine's registry, or None for an engine-less pipeline."""
         engine = getattr(self.pipeline, "engine", None)
-        if engine is None or not engine.config.instrument:
-            return None
-        return engine.instrumentation
+        return None if engine is None else engine.instrumentation
 
     def runtime_stats(self) -> dict:
         """Runtime snapshot of the extraction engine plus buffer occupancy."""

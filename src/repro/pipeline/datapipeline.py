@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.features.extraction import FeatureExtractor
 from repro.features.rolling import RollingPlan
-from repro.features.scaling import MinMaxScaler, Scaler, make_scaler, scaler_from_state
+from repro.features.scaling import MinMaxScaler
 from repro.features.selection import ChiSquareSelector
 from repro.runtime.config import ExecutionConfig
 from repro.runtime.parallel import ParallelExtractor
@@ -47,8 +47,6 @@ class DataPipeline:
         :class:`ParallelExtractor` engine to adopt as-is.
     n_features:
         Features kept by Chi-square selection.
-    scaler_kind:
-        ``minmax`` (paper default), ``standard``, or ``robust``.
     execution:
         Runtime knobs for the extraction engine; defaults to the
         process-wide configuration (``PRODIGY_WORKERS`` etc.).
@@ -59,7 +57,6 @@ class DataPipeline:
         extractor: FeatureExtractor | ParallelExtractor | None = None,
         *,
         n_features: int = 256,
-        scaler_kind: str = "minmax",
         execution: ExecutionConfig | None = None,
     ):
         if isinstance(extractor, ParallelExtractor):
@@ -69,9 +66,8 @@ class DataPipeline:
             self.extractor = extractor if extractor is not None else FeatureExtractor()
             self.engine = ParallelExtractor(self.extractor, config=execution)
         self.n_features = n_features
-        self.scaler_kind = scaler_kind
         self.selector_: ChiSquareSelector | None = None
-        self.scaler_: Scaler | None = None
+        self.scaler_: MinMaxScaler | None = None
         self.selected_names_: tuple[str, ...] | None = None
         #: plans keyed by (selection, metric names): ``selected_names_`` is
         #: also assigned directly, so the selection is part of the key
@@ -82,7 +78,7 @@ class DataPipeline:
     # -- offline -------------------------------------------------------------
 
     def fit(self, samples: SampleSet) -> "DataPipeline":
-        """Fit selection on the SampleSet, then the scaler on it.
+        """Fit selection on the SampleSet, then the min-max scaler on it.
 
         Selection runs the Chi-square test when the set has anomalous rows
         and ranks by variance when it has none (:meth:`ChiSquareSelector.fit`).
@@ -93,17 +89,7 @@ class DataPipeline:
         self.selector_ = ChiSquareSelector(k=self.n_features).fit(samples)
         selected = self.selector_.transform(samples)
         self.selected_names_ = selected.feature_names
-        scaler = make_scaler(self.scaler_kind)
-        if selected.present is None:
-            scaler.fit(selected.features)
-        elif isinstance(scaler, MinMaxScaler):
-            scaler.fit(selected.features, present=selected.present)
-        else:
-            raise ValueError(
-                f"mixed-schema samples need a mask-aware scaler; "
-                f"{self.scaler_kind!r} cannot fit under a presence mask"
-            )
-        self.scaler_ = scaler
+        self.scaler_ = MinMaxScaler().fit(selected.features, present=selected.present)
         return self
 
     def fit_from_series(
@@ -233,7 +219,7 @@ class DataPipeline:
         check_fitted(self, ["selector_", "scaler_"])
         meta = {
             "selected_features": list(self.selected_names_),
-            "scaler_kind": self.scaler_kind,
+            "scaler_kind": "minmax",
             "n_features": self.n_features,
             "resample_points": self.extractor.resample_points,
             "metrics": list(self.extractor.metrics) if self.extractor.metrics else None,
@@ -249,20 +235,24 @@ class DataPipeline:
         extractor: FeatureExtractor | None = None,
         execution: ExecutionConfig | None = None,
     ) -> "DataPipeline":
-        """Rebuild a fitted pipeline from persisted deployment metadata."""
+        """Rebuild a fitted pipeline from persisted deployment metadata.
+
+        The metadata's ``scaler_kind`` must be ``"minmax"``, the one scaler
+        a deployment fits; any other value raises ``ValueError``.
+        """
+        if meta["scaler_kind"] != "minmax":
+            raise ValueError(
+                f"unsupported scaler_kind {meta['scaler_kind']!r}: "
+                f"deployments are scaled min-max ('minmax')"
+            )
         if extractor is None:
             extractor = FeatureExtractor(
                 resample_points=meta["resample_points"],
                 metrics=meta["metrics"],
             )
-        pipe = cls(
-            extractor,
-            n_features=int(meta["n_features"]),
-            scaler_kind=str(meta["scaler_kind"]),
-            execution=execution,
-        )
+        pipe = cls(extractor, n_features=int(meta["n_features"]), execution=execution)
         pipe.selected_names_ = tuple(meta["selected_features"])
-        pipe.scaler_ = scaler_from_state(pipe.scaler_kind, scaler_state)
+        pipe.scaler_ = MinMaxScaler.from_state(scaler_state)
         # Selector itself is not needed online; mark fitted via sentinel.
         pipe.selector_ = ChiSquareSelector.sentinel(
             pipe.selected_names_,

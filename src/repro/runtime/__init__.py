@@ -5,14 +5,15 @@ feature extraction — ``Prodigy.fit``, ``DataPipeline``, the streaming
 detector, the detector service, CoMTE's evaluators, the experiment
 runners, the CLI, and the benchmarks:
 
-* :class:`ExecutionConfig` — worker/cache/instrumentation knobs,
-  resolvable from ``PRODIGY_*`` environment variables and CLI flags;
+* :class:`ExecutionConfig` — worker and cache knobs, resolvable from
+  ``PRODIGY_*`` environment variables and CLI flags;
 * :class:`ParallelExtractor` — full extraction over groups of metric
   slabs on a few threads, the same bits at any worker count;
 * :class:`FeatureCache` — content-hash-keyed LRU memoisation of feature
   rows;
 * :class:`Instrumentation` — per-stage timers/counters (extract, select,
-  scale, score, explain) surfaced by ``repro-prodigy runtime stats``.
+  scale, score, explain) surfaced by ``repro-prodigy runtime stats``; its
+  ``enabled`` flag is the one switch for all of them.
 """
 
 from repro.runtime.cache import FeatureCache, extractor_signature, series_fingerprint

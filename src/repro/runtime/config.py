@@ -1,15 +1,16 @@
 """Execution configuration for the shared extraction/inference runtime.
 
-One small frozen object carries every knob of the runtime layer — worker
-count, cache capacity, instrumentation on/off — and is resolvable from
-three sources with a fixed precedence:
+One small frozen object carries the two knobs of the runtime layer —
+extraction worker count and feature-cache capacity — and is resolvable
+from three sources with a fixed precedence:
 
     explicit argument  >  ``PRODIGY_*`` environment  >  process default
 
 so a CLI ``--workers 4``, a ``PRODIGY_WORKERS=4`` deployment environment,
 and a programmatic :func:`set_execution_config` all reach the same engine
 the same way.  Each field declares its environment variable and parser
-once, in its ``dataclasses.field`` metadata.
+once, in its ``dataclasses.field`` metadata.  Stage timers are switched
+by the instrumentation registry's own ``enabled`` flag, not by this config.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ __all__ = [
     "set_execution_config",
     "usable_cpus",
 ]
-
-_FALSY = {"0", "false", "no", "off", ""}
 
 
 def usable_cpus() -> int:
@@ -43,10 +42,6 @@ def _parse_int(key: str, raw: str) -> int | None:
         return int(raw)
     except ValueError:
         raise ValueError(f"{key} must be an integer, got {raw!r}") from None
-
-
-def _parse_flag(key: str, raw: str) -> bool:
-    return raw.strip().lower() not in _FALSY
 
 
 def _knob(default, env: str, parse: Callable[[str, str], object]):
@@ -68,16 +63,10 @@ class ExecutionConfig:
     cache_size:
         Feature-row entries kept by the LRU :class:`FeatureCache`;
         ``0`` disables caching entirely.
-    instrument:
-        Record per-stage timers/counters in the global
-        :class:`~repro.runtime.instrumentation.Instrumentation` registry.
-        An environment value of ``0``/``false``/``no``/``off`` or blank
-        turns it off.
     """
 
     n_workers: int = _knob(usable_cpus(), "PRODIGY_WORKERS", _parse_int)
     cache_size: int = _knob(512, "PRODIGY_CACHE_SIZE", _parse_int)
-    instrument: bool = _knob(True, "PRODIGY_INSTRUMENT", _parse_flag)
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -126,14 +115,6 @@ def get_execution_config() -> ExecutionConfig:
 
 
 def set_execution_config(config: ExecutionConfig | None) -> None:
-    """Install *config* as the process-wide default (``None`` reverts to env).
-
-    Also flips the global instrumentation registry to match
-    ``config.instrument`` so stage timers outside engine objects (score,
-    explain) honour the same switch.
-    """
+    """Install *config* as the process-wide default (``None`` reverts to env)."""
     global _process_config
     _process_config = config
-    from repro.runtime.instrumentation import get_instrumentation
-
-    get_instrumentation().enabled = config.instrument if config is not None else True

@@ -20,21 +20,22 @@ runtime services every consumer needs:
 * **instrumentation** — the ``extract`` stage timer and cache hit/miss
   counters feed the global registry surfaced by ``runtime stats``.
 
-It is also where mixed-schema fleets are partitioned: ``extract`` and
-``extract_table`` run each metric schema's series through the services
-above as one dense batch and align the groups onto the union feature axis.
+``extract`` is the one way from node series to a
+:class:`~repro.telemetry.sampleset.SampleSet`, and the one place
+mixed-schema fleets are partitioned: each metric schema's series run
+through the services above as one dense batch, and the groups are aligned
+onto the union feature axis.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from contextlib import nullcontext
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.features.alignment import FeatureTable, align_feature_groups
+from repro.features.alignment import align_feature_groups
 from repro.features.extraction import (
     FeatureExtractor,
     compute_block,
@@ -94,7 +95,7 @@ def _run_threaded(task: Callable[[int], None], n_tasks: int, workers: int) -> No
 
 
 class ParallelExtractor:
-    """Cached, threaded drop-in for ``FeatureExtractor`` extraction.
+    """Cached, threaded feature extraction over a ``FeatureExtractor``.
 
     Parameters
     ----------
@@ -132,15 +133,6 @@ class ParallelExtractor:
         self._signature = extractor_signature(self.extractor)
         self._last_plan: dict | None = None
 
-    # -- passthrough introspection --------------------------------------------
-
-    @property
-    def n_features_per_metric(self) -> int:
-        return self.extractor.n_features_per_metric
-
-    def feature_names(self, metric_names: Sequence[str]) -> tuple[str, ...]:
-        return self.extractor.feature_names(metric_names)
-
     # -- extraction ------------------------------------------------------------
 
     def extract_matrix(
@@ -148,10 +140,8 @@ class ParallelExtractor:
     ) -> tuple[np.ndarray, tuple[str, ...]]:
         """Extract the raw ``(N, F_total)`` matrix — cached, fanned out."""
         series = list(series)
-        if not series:
-            raise ValueError("need at least one NodeSeries")
-        metric_names = self._batch_metric_names(series)
-        with self._stage("extract", items=len(series)):
+        metric_names = self.extractor.metric_layout(series)
+        with self.instrumentation.stage("extract", items=len(series)):
             if self.cache is None:
                 matrix = self._compute_rows(series)
             else:
@@ -166,80 +156,49 @@ class ParallelExtractor:
         app_names: Sequence[str] | None = None,
         anomaly_names: Sequence[str] | None = None,
     ) -> SampleSet:
-        """Engine-routed :meth:`FeatureExtractor.extract` that takes mixed fleets.
+        """Extract a :class:`SampleSet`, carrying run provenance along.
 
         Series of one metric schema take the dense path (no alignment
         copy, no presence mask).  A fleet spanning several schemas is
-        extracted per schema as in :meth:`extract_table`, and the
-        SampleSet carries the table's presence mask.
+        grouped by :attr:`~repro.telemetry.frame.NodeSeries.schema_digest`
+        (first-appearance order), each group extracted by
+        :meth:`extract_matrix` as its own dense batch, and the groups
+        aligned onto the union feature axis
+        (:func:`~repro.features.alignment.align_feature_groups`); the set
+        carries the presence mask unless every cell is present.
         """
         series = list(series)
         validate_aligned(
             len(series), labels=labels, app_names=app_names, anomaly_names=anomaly_names
         )
+        partitions = _schema_partitions(series)
         present = None
-        if len(_schema_partitions(series)) > 1:
-            table = self.extract_table(series)
-            features, names = table.features, table.feature_names
-            if not table.is_dense:
-                present = table.present
+        if len(partitions) > 1:
+            features, names, present = align_feature_groups(
+                [(rows, *self.extract_matrix([series[i] for i in rows]))
+                 for rows in partitions],
+                len(series),
+            )
+            if present.all():
+                present = None
         else:
             features, names = self.extract_matrix(series)
-        return self.extractor.package(
-            series, features, names, labels,
-            app_names=app_names, anomaly_names=anomaly_names, present=present,
+        return SampleSet(
+            features,
+            names,
+            None if labels is None else np.asarray(labels),
+            job_ids=np.array([s.job_id for s in series], dtype=np.int64),
+            component_ids=np.array([s.component_id for s in series], dtype=np.int64),
+            app_names=app_names,
+            anomaly_names=anomaly_names,
+            present=present,
         )
-
-    def extract_table(self, series: Sequence[NodeSeries]) -> FeatureTable:
-        """Schema-partitioned extraction onto the union feature axis.
-
-        Series are grouped by :attr:`~repro.telemetry.frame.NodeSeries.schema_digest`
-        (first-appearance order), each group extracted by
-        :meth:`extract_matrix` as its own dense ``(N_g, T, M_g)`` batch, and
-        the per-group matrices aligned into a
-        :class:`~repro.features.alignment.FeatureTable` with an explicit
-        presence mask.  A homogeneous fleet forms exactly one group, so its
-        features and names are bit-identical to :meth:`extract_matrix`.
-        """
-        series = list(series)
-        if not series:
-            raise ValueError("need at least one NodeSeries")
-        groups = []
-        for rows in _schema_partitions(series):
-            features, names = self.extract_matrix([series[i] for i in rows])
-            groups.append((rows, features, names))
-        return align_feature_groups(groups, len(series))
-
-    def extract_single(self, series: NodeSeries) -> np.ndarray:
-        """Feature row ``(1, F)`` for one run — the online-inference path."""
-        features, _ = self.extract_matrix([series])
-        return features
 
     # -- internals -------------------------------------------------------------
 
-    def _stage(self, name: str, *, items: int = 0):
-        if not self.config.instrument:
-            return nullcontext()
-        return self.instrumentation.stage(name, items=items)
-
     def _count(self, name: str, n: int) -> None:
-        if self.config.instrument and n:
+        if n:
             self.instrumentation.count(name, n)
-
-    def _batch_metric_names(self, series: Sequence[NodeSeries]) -> tuple[str, ...]:
-        """The effective metric layout, with the cross-series consistency check.
-
-        Mirrors :meth:`FeatureExtractor.stack` so cached rows can never be
-        mixed across incompatible layouts: every series of a batch must share
-        metric names (or the extractor pins an explicit subset).
-        """
-        if self.extractor.metrics is not None:
-            return tuple(self.extractor.metrics)
-        metric_names = series[0].metric_names
-        for s in series[1:]:
-            if s.metric_names != metric_names:
-                raise ValueError("all series must share metric names (or pass metrics=...)")
-        return tuple(metric_names)
 
     def _cached_rows(self, series: list[NodeSeries]) -> np.ndarray:
         keys = [self._signature + series_fingerprint(s) for s in series]
@@ -289,7 +248,6 @@ class ParallelExtractor:
             "config": {
                 "n_workers": self.config.n_workers,
                 "cache_size": self.config.cache_size,
-                "instrument": self.config.instrument,
             },
             "scheduler": self._last_plan,
             "cache": self.cache.stats() if self.cache is not None else None,

@@ -70,15 +70,6 @@ def tiny_extractor():
     )
 
 
-@pytest.fixture(scope="session")
-def tiny_sampleset(labeled_runs, tiny_extractor):
-    """Labeled SampleSet extracted from the tiny campaign."""
-    series = [r[0] for r in labeled_runs]
-    labels = [r[1] for r in labeled_runs]
-    apps = [r[2] for r in labeled_runs]
-    return tiny_extractor.extract(series, labels, app_names=apps)
-
-
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)

@@ -291,8 +291,8 @@ class TestSeriesClassifier:
 
         series_list = [r[0] for r in labeled_runs]
         labels = [r[1] for r in labeled_runs]
-        samples = tiny_extractor.extract(series_list, labels)
         pipe = DataPipeline(tiny_extractor, n_features=64)
+        samples = pipe.engine.extract(series_list, labels)
         pipe.fit(samples)
         det = ProdigyDetector(
             hidden_dims=(16, 8), latent_dim=4, epochs=60, batch_size=8,

@@ -490,7 +490,7 @@ class _BatchPipeline:
         )
 
     def transform_single(self, window):
-        return self.engine.extract_single(window)
+        return self.engine.extract_matrix([window])[0]
 
     def transform_series(self, windows):
         return self.engine.extract_matrix(windows)[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.features import FeatureExtractor, default_calculators
+from repro.runtime import ParallelExtractor
 from repro.telemetry import NodeSeries
 
 
@@ -46,7 +47,7 @@ class TestLayout:
         assert "job_id=1, component_id=1" in msg
         assert "missing ['m1']" in msg
         assert "extra ['x1']" in msg
-        assert "extract_table" in msg
+        assert "ParallelExtractor.extract()" in msg
 
     def test_reordered_metric_names_rejected(self):
         fx = FeatureExtractor(resample_points=32)
@@ -80,7 +81,7 @@ class TestSemantics:
         fx = FeatureExtractor(resample_points=32)
         runs = [series(seed=i) for i in range(4)]
         batch, _ = fx.extract_matrix(runs)
-        singles = np.vstack([fx.extract_single(r) for r in runs])
+        singles = np.vstack([fx.extract_matrix([r])[0] for r in runs])
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
     def test_mean_feature_value_correct(self):
@@ -93,7 +94,7 @@ class TestSemantics:
     def test_extract_builds_sampleset(self):
         fx = FeatureExtractor(resample_points=32)
         runs = [series(job=5, comp=c, seed=c) for c in range(3)]
-        ss = fx.extract(runs, [0, 1, 0], app_names=["a", "b", "c"])
+        ss = ParallelExtractor(fx).extract(runs, [0, 1, 0], app_names=["a", "b", "c"])
         assert ss.n_samples == 3
         assert ss.n_anomalous == 1
         np.testing.assert_array_equal(ss.job_ids, [5, 5, 5])

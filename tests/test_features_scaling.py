@@ -1,4 +1,4 @@
-"""Tests for the scaler implementations."""
+"""Tests for the min-max scaler."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.features import (
-    MinMaxScaler,
-    RobustScaler,
-    StandardScaler,
-    make_scaler,
-)
-from repro.features.scaling import scaler_from_state
+from repro.features import MinMaxScaler
 from repro.util import NotFittedError
 
 MATS = arrays(
@@ -46,55 +40,30 @@ class TestMinMax:
         np.testing.assert_allclose(out, 0.0)
 
 
-class TestStandard:
-    def test_zero_mean_unit_std(self, rng):
-        x = rng.random((50, 3)) * 7 + 2
-        out = StandardScaler().fit_transform(x)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-10)
-
-    def test_constant_feature_zeroed(self):
-        out = StandardScaler().fit_transform(np.full((5, 1), 3.0))
-        np.testing.assert_allclose(out, 0.0)
-
-
-class TestRobust:
-    def test_median_centred(self, rng):
-        x = rng.random((51, 2))
-        out = RobustScaler().fit_transform(x)
-        np.testing.assert_allclose(np.median(out, axis=0), 0.0, atol=1e-12)
-
-    def test_outlier_resistant(self):
-        x = np.concatenate([np.linspace(0, 1, 50), [1e9]])[:, None]
-        out = RobustScaler().fit_transform(x)
-        # Bulk values stay small despite the huge outlier.
-        assert np.abs(out[:50]).max() < 5
+#: Both configurations of the scaler: clipped to [0, 1] (the default) or not.
+CONFIGS = pytest.mark.parametrize("clip", [True, False], ids=["minmax", "unclipped"])
 
 
 class TestCommon:
-    @pytest.mark.parametrize("kind", ["minmax", "standard", "robust"])
-    def test_state_roundtrip(self, kind, rng):
+    @CONFIGS
+    def test_state_roundtrip(self, clip, rng):
         x = rng.random((20, 3))
-        sc = make_scaler(kind).fit(x)
-        back = scaler_from_state(kind, sc.state())
-        np.testing.assert_allclose(back.transform(x), sc.transform(x))
+        sc = MinMaxScaler(clip=clip).fit(x)
+        back = MinMaxScaler.from_state(sc.state())
+        assert back.clip is clip
+        probe = 3.0 * x - 1.0  # partly outside the training range
+        np.testing.assert_array_equal(back.transform(probe), sc.transform(probe))
 
-    @pytest.mark.parametrize("kind", ["minmax", "standard", "robust"])
-    def test_unfitted_raises(self, kind):
+    @CONFIGS
+    def test_unfitted_raises(self, clip):
         with pytest.raises(NotFittedError):
-            make_scaler(kind).transform(np.ones((2, 2)))
+            MinMaxScaler(clip=clip).transform(np.ones((2, 2)))
 
-    @pytest.mark.parametrize("kind", ["minmax", "standard", "robust"])
-    def test_width_mismatch(self, kind, rng):
-        sc = make_scaler(kind).fit(rng.random((5, 3)))
+    @CONFIGS
+    def test_width_mismatch(self, clip, rng):
+        sc = MinMaxScaler(clip=clip).fit(rng.random((5, 3)))
         with pytest.raises(ValueError, match="features"):
             sc.transform(rng.random((2, 4)))
-
-    def test_unknown_kind(self):
-        with pytest.raises(KeyError, match="known"):
-            make_scaler("log")
-        with pytest.raises(KeyError):
-            scaler_from_state("log", {})
 
     @given(MATS)
     @settings(max_examples=30, deadline=None)
@@ -105,5 +74,5 @@ class TestCommon:
     @given(MATS)
     @settings(max_examples=30, deadline=None)
     def test_transform_idempotent_on_training_data(self, x):
-        sc = StandardScaler().fit(x)
+        sc = MinMaxScaler().fit(x)
         np.testing.assert_allclose(sc.transform(x), sc.transform(x))

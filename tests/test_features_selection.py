@@ -1,11 +1,11 @@
-"""Tests for Chi-square feature selection and the variance filter."""
+"""Tests for Chi-square feature selection and its variance filter."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.features import ChiSquareSelector, VarianceThreshold, chi2_scores
+from repro.features import ChiSquareSelector, chi2_scores
 from repro.telemetry import SampleSet
 
 
@@ -46,28 +46,6 @@ class TestChi2Scores:
         x = rng.random((2 * n, 3))
         y = np.array([0] * n + [1] * n)
         assert np.all(chi2_scores(x, y) >= 0)
-
-
-class TestVarianceThreshold:
-    def test_drops_constant(self):
-        x = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
-        vt = VarianceThreshold().fit(x)
-        assert vt.transform(x).shape == (5, 1)
-
-    def test_all_constant_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            VarianceThreshold().fit(np.ones((5, 2)))
-
-    def test_width_mismatch(self):
-        vt = VarianceThreshold().fit(np.random.default_rng(0).random((5, 3)))
-        with pytest.raises(ValueError, match="columns"):
-            vt.transform(np.ones((2, 4)))
-
-    def test_unfitted(self):
-        from repro.util import NotFittedError
-
-        with pytest.raises(NotFittedError):
-            VarianceThreshold().transform(np.ones((2, 2)))
 
 
 class TestChiSquareSelector:
@@ -112,6 +90,12 @@ class TestChiSquareSelector:
         s = labeled_set()
         sel = ChiSquareSelector(k=100).fit(s)
         assert len(sel.selected_names_) == 2  # f2 is constant
+
+    def test_all_constant_rejected(self):
+        y = np.array([0, 0, 1, 1])
+        s = SampleSet(np.column_stack([np.full(4, 2.0), np.ones(4)]), ["a", "b"], y)
+        with pytest.raises(ValueError, match="constant"):
+            ChiSquareSelector(k=1).fit(s)
 
     def test_unfitted_transform(self):
         from repro.util import NotFittedError

@@ -35,7 +35,7 @@ class EnginePipeline:
         )
 
     def transform_single(self, window: NodeSeries) -> np.ndarray:
-        return self.engine.extract_single(window)
+        return self.engine.extract_matrix([window])[0]
 
     def transform_series(self, windows) -> np.ndarray:
         return self.engine.extract_matrix(list(windows))[0]

@@ -16,10 +16,7 @@ from repro.hist import (
     HistStore,
     RetentionPolicy,
     Segment,
-    WindowedStoreView,
     dashboard_rollup,
-    harvest_healthy_windows,
-    metric_reference,
     resolve_meters,
     write_segment,
 )
@@ -619,48 +616,15 @@ class TestRetentionTiers:
 
 
 class TestFeeds:
-    def build(self, tmp_path):
+    def test_dashboard_rollup_falls_back_to_raw(self, tmp_path):
         from repro.workloads import default_catalog
 
-        catalog = default_catalog()
+        names = default_catalog().metric_names
         hist = HistStore(tmp_path / "hist", segment_span=300.0)
-        legacy = DsosStore()
         rng = np.random.default_rng(21)
-        names = catalog.metric_names
         for job, comp in [(1, 10), (1, 11), (2, 10)]:
-            f = frame_for(job, comp, 0.0, 120, names, rng)
-            ingest_both(hist, legacy, "node", f)
+            hist.ingest("node", frame_for(job, comp, 0.0, 120, names, rng))
         hist.flush()
-        return hist, legacy, catalog
-
-    def test_windowed_view_intersects_bounds(self, tmp_path):
-        hist, _, _ = self.build(tmp_path)
-        view = WindowedStoreView(hist, t0=10.0, t1=50.0)
-        out = view.query("node")
-        assert out.timestamp.min() >= 10.0 and out.timestamp.max() <= 50.0
-        # caller bounds can only narrow, never widen
-        out = view.query("node", t0=0.0, t1=20.0)
-        assert out.timestamp.min() >= 10.0 and out.timestamp.max() <= 20.0
-
-    def test_metric_reference(self, tmp_path):
-        hist, legacy, catalog = self.build(tmp_path)
-        name = catalog.metric_names[0]
-        ref = metric_reference(hist, "node", name, t0=0.0, t1=60.0)
-        expected = legacy.query("node", t0=0.0, t1=60.0).column(name)
-        np.testing.assert_array_equal(ref, expected)
-        with pytest.raises(KeyError, match="no metric"):
-            metric_reference(hist, "node", "nope")
-
-    def test_harvest_healthy_windows(self, tmp_path):
-        hist, _, catalog = self.build(tmp_path)
-        series = harvest_healthy_windows(hist, catalog, t0=0.0, t1=119.0, exclude=[(2, 10)])
-        keys = {(s.job_id, s.component_id) for s in series}
-        assert keys == {(1, 10), (1, 11)}
-        limited = harvest_healthy_windows(hist, catalog, limit=1)
-        assert len(limited) == 1
-
-    def test_dashboard_rollup_falls_back_to_raw(self, tmp_path):
-        hist, _, _ = self.build(tmp_path)
         rollup = dashboard_rollup(hist, tier="1min")  # not compacted yet
         assert rollup["samplers"]["node"]["tier"] == "raw"
         hist.compact()

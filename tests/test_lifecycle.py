@@ -361,7 +361,7 @@ def deployment(labeled_runs, tiny_extractor):
     series = [r[0] for r in labeled_runs]
     labels = [r[1] for r in labeled_runs]
     pipe = DataPipeline(tiny_extractor, n_features=48)
-    samples = tiny_extractor.extract(series, labels)
+    samples = pipe.engine.extract(series, labels)
     pipe.fit(samples)
     det = ProdigyDetector(
         hidden_dims=(16, 8), latent_dim=4, epochs=80, batch_size=8,

@@ -94,7 +94,7 @@ def fitted_pipeline(populated_store, catalog, tiny_extractor):
             series.append(s)
             y.append(labels[(int(j), s.component_id)])
     pipe = DataPipeline(tiny_extractor, n_features=48)
-    samples = tiny_extractor.extract(series, y)
+    samples = pipe.engine.extract(series, y)
     pipe.fit(samples)
     return gen, pipe, samples, series
 
@@ -130,6 +130,13 @@ class TestDataPipeline:
         np.testing.assert_allclose(
             rebuilt.transform_single(series[0]), pipe.transform_single(series[0])
         )
+
+    @pytest.mark.parametrize("kind", ["standard", "robust"])
+    def test_from_state_rejects_other_scalers(self, fitted_pipeline, kind):
+        _, pipe, _, _ = fitted_pipeline
+        meta, scaler_state = pipe.state()
+        with pytest.raises(ValueError, match=repr(kind)):
+            DataPipeline.from_state({**meta, "scaler_kind": kind}, scaler_state)
 
 
 def _runs(names, lengths, seed, job_id=1):
@@ -261,6 +268,13 @@ class TestModelTrainerAndService:
         msg = str(exc.value)
         assert "99" in msg and str(broken) in msg and "supported versions" in msg
 
+    def test_metadata_records_minmax_scaler(self, deployment):
+        import json
+
+        _, outdir, _ = deployment
+        meta = json.loads((outdir / "metadata.json").read_text())
+        assert meta["pipeline"]["scaler_kind"] == "minmax"
+
     def test_fingerprint_persisted(self, deployment, fitted_pipeline):
         _, outdir, _ = deployment
         _, _, samples, _ = fitted_pipeline
@@ -355,12 +369,12 @@ class TestModelTrainerAndService:
 def _variance_recipe(engine, series, n_keep):
     """The hand-built variance fit the demos ran before selection ranked
     unlabeled sets itself: ``(selected names, scaler state)``, the oracle."""
-    from repro.features.scaling import make_scaler
+    from repro.features import MinMaxScaler
 
     features, names = engine.extract_matrix(series)
     var = features.var(axis=0)
     keep = np.sort(np.lexsort((np.arange(var.size), -var))[: min(n_keep, var.size)])
-    scaler = make_scaler("minmax").fit(features[:, keep])
+    scaler = MinMaxScaler().fit(features[:, keep])
     return tuple(names[i] for i in keep), scaler.state()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import ProdigyDetector
 from repro.features import FeatureExtractor, NodeRingBuffer, full_calculators
-from repro.features.scaling import make_scaler
+from repro.features.scaling import MinMaxScaler
 from repro.features.selection import ChiSquareSelector
 from repro.monitoring import StreamingDetector
 from repro.pipeline import DataPipeline
@@ -129,8 +129,8 @@ def _fit_deployment(
         config=ExecutionConfig(cache_size=0),
         instrumentation=Instrumentation(),
     )
-    table = engine.extract_table(series)
-    feats, fnames, present = table.features, table.feature_names, table.present
+    samples = engine.extract(series)
+    feats, fnames, present = samples.features, samples.feature_names, samples.present_mask
     var = feats.var(axis=0)
     by_var = np.lexsort((np.arange(var.size), -var))
     forced = [i for i, n in enumerate(fnames) if prefer and prefer in n]
@@ -141,9 +141,7 @@ def _fit_deployment(
     pipeline = DataPipeline(engine, n_features=len(keep))
     pipeline.selected_names_ = tuple(fnames[i] for i in keep)
     pipeline.selector_ = ChiSquareSelector.sentinel(pipeline.selected_names_, var[keep])
-    pipeline.scaler_ = make_scaler(pipeline.scaler_kind).fit(
-        feats[:, keep], present=present[:, keep]
-    )
+    pipeline.scaler_ = MinMaxScaler().fit(feats[:, keep], present=present[:, keep])
     rows, _ = pipeline.transform_series_masked(series)
     detector = ProdigyDetector(
         hidden_dims=(16, 8), latent_dim=4, epochs=2, batch_size=8,

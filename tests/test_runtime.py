@@ -49,17 +49,12 @@ class TestExecutionConfig:
         cfg = ExecutionConfig()
         assert cfg.n_workers == usable_cpus()
         assert cfg.cache_size == 512
-        assert cfg.instrument is True
 
     def test_from_env(self):
         cfg = ExecutionConfig.from_env(
-            {
-                "PRODIGY_WORKERS": "4",
-                "PRODIGY_CACHE_SIZE": "64",
-                "PRODIGY_INSTRUMENT": "off",
-            }
+            {"PRODIGY_WORKERS": "4", "PRODIGY_CACHE_SIZE": "64"}
         )
-        assert cfg == ExecutionConfig(n_workers=4, cache_size=64, instrument=False)
+        assert cfg == ExecutionConfig(n_workers=4, cache_size=64)
 
     def test_from_env_ignores_blank_and_missing(self):
         assert ExecutionConfig.from_env({"PRODIGY_WORKERS": "  "}) == ExecutionConfig()
@@ -170,12 +165,12 @@ class TestParallelExtractor:
         partitions: dict[str, list[int]] = {}
         for i, s in enumerate(series):
             partitions.setdefault(s.schema_digest, []).append(i)
-        oracle = align_feature_groups(
+        features, names, present = align_feature_groups(
             [(rows, *extractor.extract_matrix([series[i] for i in rows]))
              for rows in partitions.values()],
             len(series),
         )
-        assert not oracle.is_dense
+        assert not present.all()
         labels = np.arange(len(series)) % 2
         for workers, cache_size in ((1, 0), (2, 0), (2, 32)):
             engine = ParallelExtractor(
@@ -185,17 +180,60 @@ class TestParallelExtractor:
             )
             for _ in range(2 if cache_size else 1):  # cold, then warm
                 samples = engine.extract(series, labels)
-                assert samples.feature_names == oracle.feature_names
-                assert np.array_equal(samples.features, oracle.features)
-                assert np.array_equal(samples.present, oracle.present)
+                assert samples.feature_names == names
+                assert np.array_equal(samples.features, features)
+                assert np.array_equal(samples.present, present)
                 assert np.array_equal(samples.labels, labels)
-            table = engine.extract_table(series)
-            assert np.array_equal(table.features, oracle.features)
-        assert engine.cache.stats()["hits"] == 2 * len(series)
+        assert engine.cache.stats()["hits"] == len(series)
         # One schema keeps the dense path: no mask.
         dense = engine.extract(cpu)
         assert dense.present is None
         assert np.array_equal(dense.features, extractor.extract_matrix(cpu)[0])
+
+    def test_pinned_metrics_over_two_schemas_stay_dense(self):
+        """A pinned layout spans schemas: no mask, the pinned names, and each
+        schema's rows equal to extract_matrix of that schema alone."""
+        fx = FeatureExtractor(resample_points=32, metrics=("m2", "m0"))
+        narrow = make_series(3, 3, seed=1)
+        wide = [
+            NodeSeries(2, 10 + i, s.timestamps,
+                       np.column_stack([s.values, 2.0 * s.values[:, 0]]),
+                       s.metric_names + ("g0",))
+            for i, s in enumerate(make_series(2, 3, seed=2))
+        ]
+        series = [narrow[0], wide[0], narrow[1], wide[1], narrow[2]]
+        engine = ParallelExtractor(
+            fx, config=ExecutionConfig(cache_size=0), instrumentation=Instrumentation()
+        )
+        samples = engine.extract(series)
+        assert samples.present is None
+        assert samples.feature_names == fx.feature_names(("m2", "m0"))
+        for rows in ([0, 2, 4], [1, 3]):
+            part, _ = fx.extract_matrix([series[i] for i in rows])
+            assert np.array_equal(samples.features[rows], part)
+
+    def test_layout_error_names_divergent_node(self, extractor):
+        """The engine runs the extractor's layout check, on a cold batch and
+        on one whose every row is already cached."""
+        a, b = make_series(n_series=2, n_metrics=3)
+        b = NodeSeries(7, 9, b.timestamps, b.values, ("m0", "m1", "x2"))
+        engine = ParallelExtractor(
+            extractor,
+            config=ExecutionConfig(n_workers=1, cache_size=32),
+            instrumentation=Instrumentation(),
+        )
+        for warm in (False, True):
+            if warm:
+                engine.extract_matrix([a])
+                engine.extract_matrix([b])
+            with pytest.raises(ValueError) as err:
+                engine.extract_matrix([a, b])
+            msg = str(err.value)
+            assert "job_id=7, component_id=9" in msg
+            assert "job_id=1, component_id=0" in msg
+            assert "missing ['m2']" in msg and "extra ['x2']" in msg
+            assert "ParallelExtractor.extract()" in msg
+        assert engine.cache.stats()["entries"] == 2
 
     def test_cache_hits_on_replay(self, extractor):
         series = make_series()
@@ -230,7 +268,7 @@ class TestParallelExtractor:
     def test_extract_single_matches_batch_row(self, extractor):
         series = make_series()
         engine = ParallelExtractor(extractor, config=ExecutionConfig())
-        row = engine.extract_single(series[2])
+        row, _ = engine.extract_matrix([series[2]])
         assert row.shape == (1, extractor.n_features_per_metric * 5)
         assert np.array_equal(row, extractor.extract_matrix([series[2]])[0])
 
@@ -240,11 +278,13 @@ class TestParallelExtractor:
         samples = engine.extract(
             series, [0, 1, 0, 1], app_names=list("abcd"), anomaly_names=list("wxyz")
         )
-        assert samples.features.shape[0] == 4
         assert list(samples.labels) == [0, 1, 0, 1]
-        assert np.array_equal(
-            samples.features, extractor.extract(series, [0, 1, 0, 1]).features
-        )
+        assert np.array_equal(samples.features, extractor.extract_matrix(series)[0])
+        assert samples.present is None
+        assert list(samples.job_ids) == [1] * 4
+        assert list(samples.component_ids) == [0, 1, 2, 3]
+        assert list(samples.app_names) == list("abcd")
+        assert list(samples.anomaly_names) == list("wxyz")
 
     @pytest.mark.parametrize("field", ["labels", "app_names", "anomaly_names"])
     def test_misaligned_metadata_names_offender(self, extractor, field):
@@ -253,8 +293,6 @@ class TestParallelExtractor:
         kwargs = {field: [0, 1]} if field == "labels" else {field: ["a", "b"]}
         with pytest.raises(ValueError, match=f"{field} has 2 entries but there are 4 series"):
             engine.extract(series, **kwargs)
-        with pytest.raises(ValueError, match=f"{field} has 2 entries but there are 4 series"):
-            extractor.extract(series, **kwargs)
 
     def test_plain_custom_calculators_run_threaded(self, monkeypatch):
         """Lambdas and raw-array calculators need no pickling: threads share them."""

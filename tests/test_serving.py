@@ -39,7 +39,7 @@ def analytics(catalog, tiny_extractor, tmp_path_factory):
             series.append(s)
             y.append(labels[(int(j), s.component_id)])
     pipe = DataPipeline(tiny_extractor, n_features=48)
-    samples = tiny_extractor.extract(series, y)
+    samples = pipe.engine.extract(series, y)
     pipe.fit(samples)
     det = ProdigyDetector(
         hidden_dims=(16, 8), latent_dim=4, epochs=80, batch_size=8,

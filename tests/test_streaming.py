@@ -19,7 +19,7 @@ def stream_deployment(catalog, labeled_runs, tiny_extractor):
     series = [r[0] for r in labeled_runs]
     labels = [r[1] for r in labeled_runs]
     pipe = DataPipeline(tiny_extractor, n_features=48)
-    samples = tiny_extractor.extract(series, labels)
+    samples = pipe.engine.extract(series, labels)
     pipe.fit(samples)
     det = ProdigyDetector(
         hidden_dims=(16, 8), latent_dim=4, epochs=80, batch_size=8,
@@ -211,7 +211,7 @@ class _EnginePipeline:
         )
 
     def transform_single(self, window: NodeSeries) -> np.ndarray:
-        return self.engine.extract_single(window)
+        return self.engine.extract_matrix([window])[0]
 
     def transform_series(self, windows) -> np.ndarray:
         return self.engine.extract_matrix(list(windows))[0]

@@ -2,8 +2,8 @@
 
 Covers the canonical flatten rule, schema digests and the registry, schema
 propagation on :class:`NodeSeries`, per-card counter preprocessing, and the
-parity guarantee that schema-digest grouping in the engine's
-``extract_table`` is bit-identical to the dense path on homogeneous fleets.
+parity guarantee that schema-digest grouping in the engine's ``extract``
+is bit-identical to the dense path on homogeneous fleets.
 """
 
 import numpy as np
@@ -266,11 +266,11 @@ class TestSchemaDigestGrouping:
     def test_homogeneous_table_bit_identical_to_matrix(self):
         fx = FeatureExtractor(resample_points=32)
         series = [plain_series(("a", "b"), comp=i, seed=i) for i in range(4)]
-        table = ParallelExtractor(fx).extract_table(series)
+        samples = ParallelExtractor(fx).extract(series)
         mat, names = fx.extract_matrix(series)
-        assert table.is_dense
-        assert table.feature_names == names
-        assert np.array_equal(table.features, mat)
+        assert samples.present is None
+        assert samples.feature_names == names
+        assert np.array_equal(samples.features, mat)
 
     def test_mixed_fleet_partitions_by_digest(self):
         fx = FeatureExtractor(resample_points=32)
@@ -278,26 +278,26 @@ class TestSchemaDigestGrouping:
         wide = [plain_series(("a", "b", "c"), comp=10 + i, seed=10 + i)
                 for i in range(2)]
         series = [narrow[0], wide[0], narrow[1], wide[1]]
-        table = ParallelExtractor(fx).extract_table(series)
-        assert not table.is_dense
+        samples = ParallelExtractor(fx).extract(series)
+        assert not samples.is_dense
 
         mat_n, names_n = fx.extract_matrix(narrow)
         mat_w, names_w = fx.extract_matrix(wide)
         # Union feature axis is first-appearance ordered: the narrow group's
         # columns first, then the wide group's novel ``c`` features.
-        assert table.feature_names[: len(names_n)] == names_n
-        assert set(table.feature_names) == set(names_n) | set(names_w)
+        assert samples.feature_names[: len(names_n)] == names_n
+        assert set(samples.feature_names) == set(names_n) | set(names_w)
 
-        col = {n: j for j, n in enumerate(table.feature_names)}
+        col = {n: j for j, n in enumerate(samples.feature_names)}
         cols_n = [col[n] for n in names_n]
         cols_w = [col[n] for n in names_w]
-        np.testing.assert_array_equal(table.features[np.ix_((0, 2), cols_n)], mat_n)
-        np.testing.assert_array_equal(table.features[np.ix_((1, 3), cols_w)], mat_w)
+        np.testing.assert_array_equal(samples.features[np.ix_((0, 2), cols_n)], mat_n)
+        np.testing.assert_array_equal(samples.features[np.ix_((1, 3), cols_w)], mat_w)
         # Mask marks exactly each row's own schema columns; absent cells are 0.
-        assert table.present[0, cols_n].all()
+        assert samples.present[0, cols_n].all()
         only_c = [col[n] for n in names_w if n not in set(names_n)]
-        assert not table.present[0, only_c].any()
-        assert np.all(table.features[~table.present] == 0.0)
+        assert not samples.present[0, only_c].any()
+        assert np.all(samples.features[~samples.present] == 0.0)
 
     def test_attached_schemas_group_with_bare_series(self):
         """Schema-tagged and name-only series with the same layout co-group."""
@@ -315,5 +315,5 @@ class TestSchemaDigestGrouping:
         bare = NodeSeries(1, 2, np.arange(30, dtype=float),
                           np.random.default_rng(1).random((30, len(names))),
                           names)
-        table = ParallelExtractor(fx).extract_table([tagged, bare])
-        assert table.is_dense
+        samples = ParallelExtractor(fx).extract([tagged, bare])
+        assert samples.present is None
