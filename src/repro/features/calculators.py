@@ -5,7 +5,9 @@ methods.  This module reproduces the methodology with a calculator registry
 covering the same families — descriptive statistics, change statistics,
 run/strike structure, entropy, spectral density, nonlinearity (C3, time
 reversal asymmetry), Benford correlation, autocorrelation — implemented as
-batched NumPy kernels.
+batched NumPy kernels.  NumPy is all they need: the Welch PSD repeats
+``scipy.signal.welch``'s arithmetic step by step (:func:`_welch`), so its
+features are SciPy's bits and extraction loads no SciPy.
 
 Every calculator maps a ``(N, T)`` batch (N samples of one metric, T
 time steps) to ``(N,)`` or ``(N, k)`` feature values.  Two layers of
@@ -37,7 +39,6 @@ from math import factorial as _factorial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import signal as _signal
 
 from repro.features.context import MetricBlockContext, as_context
 
@@ -444,11 +445,43 @@ def _fft_aggregated(x) -> np.ndarray:
     return np.stack([centroid, var, skew, kurt, ent], axis=1)
 
 
+def _welch(values: np.ndarray, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.signal.welch(values, fs=1.0, nperseg=nperseg, axis=-1)``.
+
+    Repeats SciPy's arithmetic in its order, so the result is the same bits
+    for the C-contiguous ``(N, T)`` rows a context holds
+    (``TestWelchReplica`` pins it): a periodic Hann window scaled by
+    ``1 / sqrt(sum(w**2))`` (builtin left-to-right ``sum``, as
+    ``ShortTimeFFT.fac_psd``), half-overlapping segments with the tail
+    dropped, each mean-detrended, windowed and ``rfft``-ed into an
+    ``(N, F, P)`` block of squared magnitudes; bins other than DC (and
+    Nyquist for even ``nperseg``) doubled, then the mean over the
+    contiguous segment axis.
+    """
+    if nperseg > 1:
+        # get_window("hann", nperseg): SciPy adds 0.5 * cos(0 * fac), which
+        # is exactly 0.5, and 0.5 * cos(fac) to zeros, then drops a point.
+        w = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)))[:-1]
+    else:
+        w = np.ones(nperseg)
+    w = w * (1 / np.sqrt(sum(w**2)))
+    noverlap = nperseg // 2
+    hop = nperseg - noverlap
+    n_seg = (values.shape[-1] - noverlap) // hop
+    out = np.empty((values.shape[0], nperseg // 2 + 1, n_seg))
+    for p in range(n_seg):
+        seg = values[:, p * hop : p * hop + nperseg]
+        spec = np.fft.rfft((seg - np.mean(seg, -1, keepdims=True)) * w, n=nperseg)
+        out[:, :, p] = spec.real**2 + spec.imag**2
+    out[:, 1 : -1 if nperseg % 2 == 0 else None] *= 2
+    psd = out.mean(axis=-1) if n_seg > 1 else out[:, :, 0]
+    return np.fft.rfftfreq(nperseg, 1.0), psd
+
+
 def _welch_psd(x) -> np.ndarray:
     """Peak PSD, peak frequency, and total power from Welch's method."""
     c = as_context(x)
-    nperseg = min(64, c.t)
-    freqs, psd = _signal.welch(c.values, fs=1.0, nperseg=nperseg, axis=-1)
+    freqs, psd = _welch(c.values, min(64, c.t))
     peak = psd.max(axis=1)
     peak_freq = freqs[psd.argmax(axis=1)]
     power = psd.sum(axis=1)

@@ -9,16 +9,22 @@ the paper evaluates on a held-out test split.
 
 Neighbour queries use :class:`scipy.spatial.cKDTree`; in the ~2000-feature
 selected space a KD-tree degenerates towards brute force, which is still
-fine at these sample counts.
+fine at these sample counts.  SciPy is imported in :meth:`fit`, where the
+tree is built, so importing ``repro`` (every deployment process does)
+loads no SciPy.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.models.base import ThresholdDetector
 from repro.util.validation import check_fitted
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy.spatial import cKDTree
 
 __all__ = ["LocalOutlierFactor"]
 
@@ -70,6 +76,8 @@ class LocalOutlierFactor(ThresholdDetector):
         sets (scikit-learn behaviour), so the requested value acts as an
         upper bound.
         """
+        from scipy.spatial import cKDTree
+
         x = self._check_input(x)
         if x.shape[0] < 3:
             raise ValueError(f"need at least 3 training samples, got {x.shape[0]}")

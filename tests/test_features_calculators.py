@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import signal
 
 from repro.features import calculator_names, default_calculators, full_calculators
 from repro.features.calculators import (
@@ -30,6 +31,7 @@ from repro.features.calculators import (
     _sample_entropy,
     _skewness,
     _time_reversal_asymmetry,
+    _welch,
 )
 
 # Telemetry-plausible magnitudes: denormal-range values trip float-equality
@@ -237,6 +239,33 @@ class TestChunks:
         x[0, :10] = 5.0
         chunks = _energy_ratio_by_chunks(x)
         assert chunks[0, 0] == pytest.approx(1.0)
+
+
+class TestWelchReplica:
+    """The NumPy Welch is the same bits as ``scipy.signal.welch``."""
+
+    @staticmethod
+    def _batch(rng, t):
+        rows = rng.normal(size=(8, t)) * 10.0 ** rng.uniform(-8, 8, size=(8, 1))
+        rows[1] = np.nan
+        rows[2] = 3.25
+        rows[3] = 0.0
+        rows[4, t // 2] = np.nan
+        rows[5] = 1e8 + rng.normal(size=t)  # large offset, small signal
+        return rows
+
+    def test_bits_equal_scipy_over_every_length(self):
+        # Every length up to 300 (odd nperseg and T < 64 included), then
+        # long series: from eight segments on (T >= 288) the mean over
+        # segments is a pairwise sum, so their layout decides the bits.
+        rng = np.random.default_rng(2024)
+        for t in [*range(1, 301), 480, 1440, 8640]:
+            x = self._batch(rng, t)
+            nperseg = min(64, t)
+            want_f, want = signal.welch(x, fs=1.0, nperseg=nperseg, axis=-1)
+            got_f, got = _welch(x, nperseg)
+            assert np.array_equal(got_f, want_f), t
+            assert np.array_equal(got, want, equal_nan=True), t
 
 
 class TestProperties:

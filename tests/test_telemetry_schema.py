@@ -299,21 +299,31 @@ class TestSchemaDigestGrouping:
         assert not samples.present[0, only_c].any()
         assert np.all(samples.features[~samples.present] == 0.0)
 
-    def test_attached_schemas_group_with_bare_series(self):
+    def test_attached_schemas_group_with_bare_series(self, monkeypatch):
         """Schema-tagged and name-only series with the same layout co-group."""
         from repro.workloads import default_catalog
 
         catalog = default_catalog()
         schema = catalog.schema()
         names = catalog.metric_names
-        fx = FeatureExtractor(
-            resample_points=16, metrics=("MemFree::meminfo", "pgfault::vmstat")
-        )
         tagged = NodeSeries(1, 1, np.arange(30, dtype=float),
                             np.random.default_rng(0).random((30, len(names))),
                             names, schema=schema)
         bare = NodeSeries(1, 2, np.arange(30, dtype=float),
                           np.random.default_rng(1).random((30, len(names))),
                           names)
-        samples = ParallelExtractor(fx).extract([tagged, bare])
+        assert tagged.schema_digest == bare.schema_digest
+
+        engine = ParallelExtractor(FeatureExtractor(resample_points=16))
+        extract_matrix = engine.extract_matrix
+        batches = []
+
+        def recording(series):
+            batches.append([s.component_id for s in series])
+            return extract_matrix(series)
+
+        monkeypatch.setattr(engine, "extract_matrix", recording)
+        samples = engine.extract([tagged, bare])
+        assert batches == [[1, 2]]  # one partition, one dense batch
         assert samples.present is None
+        assert np.array_equal(samples.features, extract_matrix([tagged, bare])[0])
